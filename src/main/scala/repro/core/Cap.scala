@@ -54,9 +54,12 @@ final case class CapParams(
   require(delta >= 0, s"delta must be >= 0, got $delta")
   require(maxSensors >= 2, s"maxSensors must be >= 2, got $maxSensors")
 
-  /** Canonical key string; the cache (Section 3.3) keys results on it. */
+  /** Canonical key string; the cache (Section 3.3) keys results on it.
+    * Doubles are interpolated with `java.lang.Double.toString`, which
+    * round-trips, so two parameter sets share a key only if they are equal.
+    */
   def cacheKey: String =
-    f"eps=$epsilon%.6f|eta=$etaKm%.6f|mu=$mu|psi=$psi|delta=$delta%.6f|sign=$signPolicy|maxS=$maxSensors|single=$allowSingleAttribute"
+    s"eps=$epsilon|eta=$etaKm|mu=$mu|psi=$psi|delta=$delta|sign=$signPolicy|maxS=$maxSensors|single=$allowSingleAttribute"
 }
 
 /** One discovered correlated attribute pattern: a spatially connected,

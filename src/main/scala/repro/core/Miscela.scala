@@ -16,25 +16,65 @@ final case class CompSensor(component: String, id: String, attribute: String, pl
 /** An η-proximity edge routed to its spatial component. */
 final case class CompEdge(component: String, src: String, dst: String)
 
-/** End-to-end MISCELA pipeline (Section 2.2) as a Spark dataflow.
+/** End-to-end MISCELA pipeline (Section 2.2).
   *
-  * Stage 1 linear segmentation and stage 2 evolving-timestamp extraction
-  * are per-sensor window dataflows; stage 3 builds the η-proximity graph
-  * and its connected components with DataFrame joins; stage 4 cogroups
-  * sensors and edges by component and runs the pruned CAP search inside
-  * each component's task — components are mined in parallel across the
-  * cluster.
+  * Spark touches only the measurement records, the one input that is big
+  * (millions of rows); everything derived from them is small (at most
+  * thousands of sensors and timestamps) and is assembled on the driver:
+  *
+  *  - the time grid ([[TimeIndex]]) is collected once;
+  *  - stages 1–2 run as one per-sensor pass, a `groupByKey(id)` that maps
+  *    each record onto the grid, then sorts, forward-fills and smooths the
+  *    series ([[LinearSegmentation.series]]) and diffs it against ε
+  *    ([[EvolvingTimestamps.events]]). A sensor with fewer than ψ evolving
+  *    timestamps can never appear in a CAP (a set's support is bounded by
+  *    each member's own support), so it is dropped there; the survivors'
+  *    plus/minus index lists are collected;
+  *  - stage 3 runs on the driver over the collected locations: the
+  *    η-proximity join ([[SpatialJoin.pairs]]) and union-find components
+  *    ([[ConnectedComponents.labels]]);
+  *  - stage 4 sends the assembled components out as one lazy Spark job with
+  *    one task per component, each running the pruned CAP search, so
+  *    components are mined in parallel across the cluster.
   */
 object Miscela {
+
+  /** Stages 1–2 for every sensor of `data` (id, attribute, time, data):
+    * (id, plus, minus) indices on `grid` of its evolving timestamps, for
+    * the sensors with at least `minEvents` of them.
+    */
+  private def evolution(
+      data: DataFrame,
+      grid: Array[Long],
+      params: CapParams,
+      minEvents: Int,
+  ): Dataset[(String, Seq[Int], Seq[Int])] = {
+    val spark = data.sparkSession
+    import spark.implicits._
+    data
+      .select(col("id").cast("string"), unix_micros(col("time")), col("data").cast("double"))
+      .as[(String, Long, Option[Double])]
+      .groupByKey(_._1)
+      .flatMapGroups { (id, it) =>
+        val pts = it.map { case (_, t, v) => (TimeIndex.indexOf(grid, t), v) }.toArray
+        val events = EvolvingTimestamps.events(LinearSegmentation.series(pts, params.delta), params.epsilon)
+        if (events.length < minEvents) Iterator.empty
+        else {
+          val (plus, minus) = events.toSeq.partition(_._2 > 0)
+          Iterator((id, plus.map(_._1), minus.map(_._1)))
+        }
+      }
+  }
 
   /** Evolving events (id, tIdx, sign) for `data` under `params` — stages
     * 1–2. `data` columns: id, attribute, time, data (nullable double).
     */
   def evolvingEvents(data: DataFrame, params: CapParams): DataFrame = {
-    val indexed = TimeIndex.attach(data)
-      .select(col("id"), col("tIdx"), col("data").cast("double").as("value"))
-    val smoothed = LinearSegmentation.smooth(indexed, params.delta)
-    EvolvingTimestamps.extract(smoothed, params.epsilon)
+    val spark = data.sparkSession
+    import spark.implicits._
+    evolution(data, TimeIndex.grid(data), params, minEvents = 1)
+      .flatMap { case (id, plus, minus) => plus.map((id, _, 1)) ++ minus.map((id, _, -1)) }
+      .toDF("id", "tIdx", "sign")
   }
 
   /** Spatial edges and components (id, component) for `locations` under η
@@ -46,12 +86,45 @@ object Miscela {
     (edges, comps)
   }
 
-  /** Stages 1–3 plus routing: sensors and η-edges keyed by component.
-    *
-    * A sensor with fewer than ψ evolving timestamps can never appear in a
-    * CAP (a set's support is bounded by each member's own support), so it
-    * is dropped here — a safe prune applied identically for both search
-    * strategies.
+  /** Stages 1–3 on the driver: each component holding a sensor that
+    * survived the ψ prune, as (sensors, edges between them), in component
+    * order, plus the number of timestamps on the global grid.
+    */
+  private def assemble(
+      spark: SparkSession,
+      data: DataFrame,
+      locations: DataFrame,
+      params: CapParams,
+  ): (Seq[(Array[CompSensor], Array[CompEdge])], Int) = {
+    import spark.implicits._
+    val grid = TimeIndex.grid(data)
+    val kept = evolution(data, grid, params, params.psi).collect().map(s => s._1 -> s).toMap
+    val locs = locations
+      .select(col("id").cast("string"), col("attribute").cast("string"),
+        col("lat").cast("double"), col("lon").cast("double"))
+      .as[(String, String, Option[Double], Option[Double])]
+      .collect()
+      .toSeq
+    val sites = locs.collect { case (id, _, Some(lat), Some(lon)) => (id, lat, lon) }
+    val edges = SpatialJoin.pairs(sites, params.etaKm)
+    val component = ConnectedComponents.labels(locs.map(_._1), edges.map(e => (e._1, e._2)))
+
+    // A sensor without a location has no place in the η-graph; drop it.
+    val sensors = locs.collect { case (id, attribute, _, _) if kept.contains(id) =>
+      val (_, plus, minus) = kept(id)
+      CompSensor(component(id), id, attribute, plus, minus)
+    }
+    val edgesOf = edges
+      .collect { case (src, dst, _) if kept.contains(src) && kept.contains(dst) => CompEdge(component(src), src, dst) }
+      .groupBy(_.component)
+    val comps = sensors.groupBy(_.component).toSeq.sortBy(_._1).map { case (c, members) =>
+      (members.toArray, edgesOf.getOrElse(c, Nil).toArray)
+    }
+    (comps, grid.length)
+  }
+
+  /** Stages 1–3 plus routing: sensors and η-edges keyed by component
+    * (see [[assemble]]).
     *
     * @return (sensors per component, edges per component, number of
     *         timestamps on the global grid)
@@ -63,34 +136,12 @@ object Miscela {
       params: CapParams,
   ): (Dataset[CompSensor], Dataset[CompEdge], Int) = {
     import spark.implicits._
-    val nT = data.select(col("time")).distinct().count().toInt
-    val events = evolvingEvents(data, params)
-    val (edges, comps) = spatialComponents(spark, locations, params)
-
-    val perSensor = events
-      .groupBy("id")
-      .agg(
-        collect_list(when(col("sign") > 0, col("tIdx"))).as("plus"),
-        collect_list(when(col("sign") < 0, col("tIdx"))).as("minus"),
-      )
-      .where(size(col("plus")) + size(col("minus")) >= params.psi)
-
-    val compSensors = perSensor
-      .join(locations.select(col("id"), col("attribute")), "id")
-      .join(comps, "id")
-      .select(col("component").cast("string"), col("id").cast("string"),
-        col("attribute").cast("string"), col("plus"), col("minus"))
-      .as[CompSensor]
-
-    val compEdges = edges
-      .join(comps.withColumnRenamed("id", "src"), "src")
-      .select(col("component").cast("string"), col("src").cast("string"), col("dst").cast("string"))
-      .as[CompEdge]
-
-    (compSensors, compEdges, nT)
+    val (comps, nT) = assemble(spark, data, locations, params)
+    (comps.flatMap(_._1).toDS(), comps.flatMap(_._2).toDS(), nT)
   }
 
-  /** Full CAP mining: all four stages.
+  /** Full CAP mining: all four stages. Stages 1–3 run when this is called;
+    * the search runs when the returned Dataset is evaluated.
     *
     * @param data      measurement records (id, attribute, time, data)
     * @param locations sensor registry (id, attribute, lat, lon)
@@ -106,17 +157,16 @@ object Miscela {
       useNaive: Boolean = false,
   ): Dataset[Cap] = {
     import spark.implicits._
-    val (compSensors, compEdges, nT) = routed(spark, data, locations, params)
-    compSensors
-      .groupByKey(_.component)
-      .cogroup(compEdges.groupByKey(_.component)) { (_, sensorIt, edgeIt) =>
-        searchComponent(sensorIt.toArray, edgeIt.toArray, nT, params, useNaive).iterator
-      }
+    val (comps, nT) = assemble(spark, data, locations, params)
+    spark.sparkContext
+      .parallelize(comps, math.max(1, comps.size))
+      .flatMap { case (sensors, edges) => searchComponent(sensors, edges, nT, params, useNaive) }
+      .toDS()
   }
 
-  /** Runs stages 1–3 and collects each component's sensors and edges to
-    * the driver, for harnesses that time the search stage in isolation
-    * (T3) — returns (sensors, edges, nT) per component.
+  /** Runs stages 1–3 and returns each component's sensors and edges, for
+    * harnesses that time the search stage in isolation (T3) — returns
+    * (sensors, edges, nT) per component.
     */
   def assembleComponents(
       spark: SparkSession,
@@ -124,11 +174,8 @@ object Miscela {
       locations: DataFrame,
       params: CapParams,
   ): Seq[(Array[CompSensor], Array[CompEdge], Int)] = {
-    val (compSensors, compEdges, nT) = routed(spark, data, locations, params)
-    val edgesByComp = compEdges.collect().groupBy(_.component)
-    compSensors.collect().groupBy(_.component).toSeq.sortBy(_._1).map { case (c, sensors) =>
-      (sensors, edgesByComp.getOrElse(c, Array.empty[CompEdge]), nT)
-    }
+    val (comps, nT) = assemble(spark, data, locations, params)
+    comps.map { case (sensors, edges) => (sensors, edges, nT) }
   }
 
   /** Runs the chosen search on one pre-assembled component (see

@@ -3,73 +3,66 @@ package repro.geo
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-/** η-proximity self-join over sensor locations (MISCELA step 3 input).
+/** η-proximity pairs over sensor locations (MISCELA step 3 input).
   *
-  * A naive cross join is O(n²) rows before filtering; we bucket sensors
-  * into a grid of η-sized cells and only compare sensors in the same or
-  * adjacent cells, then filter by exact haversine distance. The cell size
-  * in degrees is chosen conservatively from the data's maximum |latitude|
-  * so no pair within η km can span more than one cell boundary.
+  * Sensors number in the thousands at most, so the join runs on the
+  * driver ([[pairs]]). A naive all-pairs scan is O(n²); instead sensors
+  * are bucketed into a grid of η-sized cells and only sensors in the same
+  * or adjacent cells are compared, then filtered by exact haversine
+  * distance. Cell sizes come from the haversine formula itself, so no
+  * pair within η km can span more than one cell boundary: latitude cells
+  * are η/R radians high, and longitude cells are sized for the data's
+  * largest |latitude|, where longitude degrees are shortest. Longitudes
+  * are not wrapped at ±180°.
   *
-  * Input: `locations` with columns (id, lat, lon). Output: undirected edge
-  * list (src, dst, dist_km) with src < dst lexicographically and
-  * dist_km < η. Sensors at identical coordinates but different ids (the
-  * paper models one attribute per sensor, co-located sensors are distinct)
-  * yield dist 0 edges.
+  * Input: `locations` with columns (id, lat, lon); rows without both
+  * coordinates have no edges. Output: undirected edge list
+  * (src, dst, dist_km) with src < dst lexicographically and dist_km < η.
+  * Sensors at identical coordinates but different ids (the paper models
+  * one attribute per sensor, co-located sensors are distinct) yield
+  * dist 0 edges.
   */
 object SpatialJoin {
 
-  private val KmPerDegLat = 111.32
-
   /** Proximity edges: all unordered pairs of distinct ids closer than `etaKm`. */
   def edges(spark: SparkSession, locations: DataFrame, etaKm: Double): DataFrame = {
+    import spark.implicits._
+    val sites = locations
+      .where(col("lat").isNotNull && col("lon").isNotNull)
+      .select(col("id").cast("string"), col("lat").cast("double"), col("lon").cast("double"))
+      .as[(String, Double, Double)]
+      .collect()
+      .toSeq
+    pairs(sites, etaKm).toDF("src", "dst", "dist_km")
+  }
+
+  /** The join over (id, lat, lon) sites: (src, dst, dist_km) for every
+    * pair of distinct ids closer than `etaKm`, each pair once.
+    */
+  def pairs(sites: Seq[(String, Double, Double)], etaKm: Double): Seq[(String, String, Double)] = {
     require(etaKm > 0, s"etaKm must be positive, got $etaKm")
-    Haversine.register(spark)
+    if (sites.isEmpty) return Nil
+    // A pair within η differs by at most η/R radians of latitude, and by
+    // at most 2·asin(sin(η/2R) / cos φ) of longitude at |latitude| ≤ φ.
+    val halfAngle = math.min(etaKm / (2 * Haversine.EarthRadiusKm), math.Pi / 2)
+    val latCellDeg = math.toDegrees(2 * halfAngle)
+    val maxAbsLat = sites.iterator.map(s => math.abs(s._2)).max
+    val lonSin = math.sin(halfAngle) / math.cos(math.toRadians(maxAbsLat))
+    val lonCellDeg = if (lonSin < 1) math.toDegrees(2 * math.asin(lonSin)) else 360.0
 
-    val locs = locations.select(col("id"), col("lat").cast("double"), col("lon").cast("double"))
+    def cell(s: (String, Double, Double)): (Long, Long) =
+      (math.floor(s._3 / lonCellDeg).toLong, math.floor(s._2 / latCellDeg).toLong)
+    val byCell = sites.groupBy(cell)
 
-    // Conservative degree extents of an η-km cell. Longitude degrees shrink
-    // by cos(lat), so size lon cells by the worst (largest |lat|) row in the
-    // data; guard against poles where the cos term degenerates.
-    val maxAbsLatRow = locs.agg(max(abs(col("lat"))).as("m")).collect()(0)
-    val maxAbsLat = if (maxAbsLatRow.isNullAt(0)) 0.0 else math.min(85.0, maxAbsLatRow.getDouble(0))
-    val latCellDeg = etaKm / KmPerDegLat
-    val lonCellDeg = etaKm / (KmPerDegLat * math.cos(math.toRadians(maxAbsLat)))
-
-    val binned = locs
-      .withColumn("cx", floor(col("lon") / lonCellDeg).cast("long"))
-      .withColumn("cy", floor(col("lat") / latCellDeg).cast("long"))
-
-    // Each sensor is replicated into its own cell plus the 8 neighbours of
-    // the *left* side only (via the dedup condition below we still see every
-    // pair once): replicate fully and dedup by id ordering instead — simpler
-    // and the replication factor is a constant 9.
-    val offsets = spark.createDataFrame(
-      for { dx <- -1 to 1; dy <- -1 to 1 } yield (dx, dy)
-    ).toDF("dx", "dy")
-
-    val replicated = binned
-      .crossJoin(offsets)
-      .select(
-        col("id"), col("lat"), col("lon"),
-        (col("cx") + col("dx")).as("cx"),
-        (col("cy") + col("dy")).as("cy"),
-      )
-
-    val a = binned.select(
-      col("id").as("src"), col("lat").as("lat1"), col("lon").as("lon1"),
-      col("cx"), col("cy"),
-    )
-    val b = replicated.select(
-      col("id").as("dst"), col("lat").as("lat2"), col("lon").as("lon2"),
-      col("cx"), col("cy"),
-    )
-
-    a.join(b, Seq("cx", "cy"))
-      .where(col("src") < col("dst"))
-      .withColumn("dist_km", expr("haversine_km(lat1, lon1, lat2, lon2)"))
-      .where(col("dist_km") < etaKm)
-      .select("src", "dst", "dist_km")
-      .distinct() // the 9x replication can surface a pair from several cells
+    (for {
+      a <- sites
+      (cx, cy) = cell(a)
+      dx <- -1 to 1
+      dy <- -1 to 1
+      b <- byCell.getOrElse((cx + dx, cy + dy), Nil)
+      if a._1 < b._1
+      dist = Haversine.km(a._2, a._3, b._2, b._3)
+      if dist < etaKm
+    } yield (a._1, b._1, dist)).distinct // a sensor listed twice pairs twice
   }
 }

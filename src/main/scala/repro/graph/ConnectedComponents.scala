@@ -2,18 +2,14 @@ package repro.graph
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.storage.StorageLevel
 
-/** Connected components over an undirected edge list, as a DataFrame
-  * fixpoint iteration (MISCELA step 3: "discovering spatially connected
-  * sets of sensors").
+/** Connected components over an undirected edge list (MISCELA step 3:
+  * "discovering spatially connected sets of sensors").
   *
-  * Algorithm: min-label propagation. Every vertex starts labelled with its
-  * own id; each round a vertex takes the minimum label among itself and its
-  * neighbours; converged when no label changes. Rounds = graph diameter,
-  * which for η-proximity graphs of sensor deployments is small (sensors
-  * cluster into compact blobs). Lineage is cut with localCheckpoint each
-  * round so the plan does not grow unboundedly.
+  * The η-graph has one vertex per sensor, thousands at most, so it is
+  * labelled on the driver by union-find ([[labels]]): every component is
+  * labelled with its minimum vertex id, in near-linear time whatever the
+  * graph's diameter.
   */
 object ConnectedComponents {
 
@@ -25,51 +21,35 @@ object ConnectedComponents {
     * @param edges    DataFrame with columns (src, dst); direction ignored
     * @return DataFrame (id, component) where `component` is the minimum
     *         vertex id in the component
-    * @param maxIterations safety bound; the fixpoint normally converges in
-    *                      a handful of rounds
     */
-  def run(
-      spark: SparkSession,
-      vertices: DataFrame,
-      edges: DataFrame,
-      maxIterations: Int = 50,
-  ): DataFrame = {
-    val sym = edges
-      .select(col("src").as("u"), col("dst").as("v"))
-      .union(edges.select(col("dst").as("u"), col("src").as("v")))
-      .distinct()
-      .persist(StorageLevel.MEMORY_AND_DISK)
+  def run(spark: SparkSession, vertices: DataFrame, edges: DataFrame): DataFrame = {
+    import spark.implicits._
+    val ids = vertices.select(col("id").cast("string")).as[String].collect().toSeq
+    val pairs = edges.select(col("src").cast("string"), col("dst").cast("string")).as[(String, String)].collect().toSeq
+    labels(ids, pairs).toSeq.toDF("id", "component")
+  }
 
-    var labels = vertices
-      .select(col("id"))
-      .distinct()
-      .withColumn("component", col("id"))
-      .localCheckpoint()
-
-    var converged = false
-    var iter = 0
-    while (!converged && iter < maxIterations) {
-      // Candidate label for each vertex: min over neighbours' labels.
-      val fromNeighbours = sym
-        .join(labels.withColumnRenamed("id", "v"), "v")
-        .groupBy(col("u").as("id"))
-        .agg(min("component").as("nbr"))
-
-      val next = labels
-        .join(fromNeighbours, Seq("id"), "left")
-        .select(
-          col("id"),
-          least(col("component"), coalesce(col("nbr"), col("component"))).as("component"),
-          (col("nbr").isNotNull && col("nbr") < col("component")).as("changed"),
-        )
-        .localCheckpoint()
-
-      converged = next.where(col("changed")).isEmpty
-      labels = next.select("id", "component")
-      iter += 1
+  /** The union-find kernel: vertex id → minimum id of its component.
+    * Edges touching an id outside `vertices` are ignored.
+    */
+  def labels(vertices: Seq[String], edges: Seq[(String, String)]): Map[String, String] = {
+    val ids = vertices.distinct.sorted.toArray
+    val index = ids.iterator.zipWithIndex.toMap
+    // parent(i) <= i throughout, so every root is its set's minimum id.
+    val parent = Array.tabulate(ids.length)(identity)
+    def find(i: Int): Int = {
+      var x = i
+      while (parent(x) != x) { parent(x) = parent(parent(x)); x = parent(x) }
+      x
     }
-    sym.unpersist()
-    require(converged, s"connected components did not converge in $maxIterations iterations")
-    labels
+    edges.foreach { case (a, b) =>
+      (index.get(a), index.get(b)) match {
+        case (Some(i), Some(j)) =>
+          val (ri, rj) = (find(i), find(j))
+          if (ri < rj) parent(rj) = ri else parent(ri) = rj
+        case _ =>
+      }
+    }
+    ids.indices.iterator.map(i => ids(i) -> ids(find(i))).toMap
   }
 }

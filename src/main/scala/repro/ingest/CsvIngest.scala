@@ -12,7 +12,8 @@ import repro.data.SmartCityDataset
   *  - every (id, attribute) of `data.csv` is registered in `location.csv`;
   *  - every attribute is listed in `attribute.csv`;
   *  - timestamps lie on one synchronized grid (equal intervals), as the
-  *    paper requires ("timestamps must be the same time intervals").
+  *    paper requires ("timestamps must be the same time intervals");
+  *  - every reading is finite or null: NaN and ±Infinity are rejected.
   *
   * `data` values equal to the literal string "null" become SQL nulls.
   */
@@ -68,9 +69,20 @@ object CsvIngest {
       if (unknownSensor > 0)
         throw ValidationError(s"$unknownSensor sensor(s) in data.csv missing from location.csv")
 
-      val badTime = rawData.where(col("time").isNull).count()
+      // NaN compares above every number in Spark SQL and breaks the
+      // evolving test (|v(t) − v(t−1)| > ε), so non-finite readings are
+      // rejected along with unparseable timestamps, in one scan.
+      val bad = rawData
+        .agg(
+          count(when(col("time").isNull, 1)),
+          count(when(isnan(col("data")) || abs(col("data")) === Double.PositiveInfinity, 1)),
+        )
+        .collect()(0)
+      val (badTime, nonFinite) = (bad.getLong(0), bad.getLong(1))
       if (badTime > 0)
         throw ValidationError(s"$badTime record(s) with unparseable timestamps")
+      if (nonFinite > 0)
+        throw ValidationError(s"$nonFinite record(s) with a non-finite reading (NaN or ±Infinity)")
 
       // One synchronized grid: distinct inter-timestamp gaps must be equal.
       val gaps = rawData

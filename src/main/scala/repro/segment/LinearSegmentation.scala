@@ -19,9 +19,9 @@ import org.apache.spark.sql.functions._
   * within each sensor series before segmentation; leading nulls are dropped
   * — a sensor with no measurement yet cannot evolve.
   *
-  * This stage runs per sensor via `groupByKey.flatMapGroups`: series are at
-  * most a few thousand points, while sensors number in the thousands, so
-  * the parallelism axis is the sensor, exactly as the repro layering hint
+  * This stage runs per sensor ([[series]]): series are at most a few
+  * thousand points, while sensors number in the thousands, so the
+  * parallelism axis is the sensor, exactly as the repro layering hint
   * prescribes ("partitioned by location").
   */
 object LinearSegmentation {
@@ -39,12 +39,17 @@ object LinearSegmentation {
       .as[(String, Int, Option[Double])]
       .groupByKey(_._1)
       .flatMapGroups { (id, it) =>
-        val pts = it.map { case (_, t, v) => (t, v) }.toArray.sortBy(_._1)
-        val filled = forwardFill(pts)
-        smoothSeries(filled, delta).iterator.map { case (t, v) => (id, t, v) }
+        series(it.map { case (_, t, v) => (t, v) }.toArray, delta).iterator.map { case (t, v) => (id, t, v) }
       }
       .toDF("id", "tIdx", "value")
   }
+
+  /** Stage 1 for one sensor: sorts its (tIdx, value) points by tIdx,
+    * forward-fills nulls and smooths. The per-sensor kernel behind
+    * [[smooth]] and the fused stage 1–2 pass of `Miscela`.
+    */
+  def series(pts: Array[(Int, Option[Double])], delta: Double): Array[(Int, Double)] =
+    smoothSeries(forwardFill(pts.sortBy(_._1)), delta)
 
   /** Drops leading nulls, carries the last observation forward elsewhere. */
   private[segment] def forwardFill(pts: Array[(Int, Option[Double])]): Array[(Int, Double)] = {

@@ -43,6 +43,15 @@ class CapCacheSpec extends SparkSpec {
     assert(!cache.contains("china6", p))
   }
 
+  test("a result stored under epsilon = 0 is a miss for epsilon = 1e-7") {
+    val (cache, _) = newCache()
+    val exact = p.copy(epsilon = 0.0)
+    cache.put("santander", exact, someCaps(2))
+    assert(cache.contains("santander", exact))
+    assert(!cache.contains("santander", exact.copy(epsilon = 1e-7)))
+    assert(cache.get(spark, "santander", exact.copy(epsilon = 1e-7)).isEmpty)
+  }
+
   test("getOrCompute: second identical request is a hit and skips compute") {
     val (cache, _) = newCache()
     var computions = 0

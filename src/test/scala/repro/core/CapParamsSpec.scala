@@ -26,7 +26,13 @@ class CapParamsSpec extends AnyFunSuite {
   test("cacheKey is stable and human-inspectable") {
     val k = CapParams().cacheKey
     assert(k == CapParams().cacheKey)
-    assert(k.contains("eps=1.000000") && k.contains("psi=10"))
+    assert(k.contains("eps=1.0|") && k.contains("eta=0.5|") && k.contains("psi=10"))
+  }
+
+  test("cacheKey tells apart parameters that differ below the sixth decimal") {
+    assert(CapParams(epsilon = 0.0).cacheKey != CapParams(epsilon = 1e-7).cacheKey)
+    assert(CapParams(etaKm = 0.5).cacheKey != CapParams(etaKm = 0.5 + 1e-9).cacheKey)
+    assert(CapParams(delta = 0.0).cacheKey != CapParams(delta = 1e-7).cacheKey)
   }
 
   test("SignPolicy.fromString parses both policies case-insensitively") {

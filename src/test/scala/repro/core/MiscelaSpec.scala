@@ -1,6 +1,8 @@
 package repro.core
 
-import repro.SparkSpec
+import org.apache.spark.sql.DataFrame
+
+import repro.{Oracle, SparkSpec}
 
 /** Pipeline-level tests of [[Miscela]] on hand-built micro-datasets. */
 class MiscelaSpec extends SparkSpec {
@@ -143,5 +145,106 @@ class MiscelaSpec extends SparkSpec {
     val caps = Miscela.mine(spark, data, locs, smoothedParams).collect().toSeq
     assert(caps.exists(c => c.sensors == Seq("p", "w")))
     caps.foreach(c => assert(c.support <= 2, s"smoothing should leave at most the step, got $c"))
+  }
+
+  private def canon(caps: Seq[Cap]) = caps.map(c => (c.attributes, c.sensors, c.support)).sortBy(_.toString)
+
+  test("oracle: fused stages 1-2 at delta = 0 equal the DuckDB index/fill/lag query") {
+    import spark.implicits._
+    // Hour 8 has no record at all (a gap in the grid); "a" skips hours 4
+    // and 7, "b" starts with nulls, "c" is short with an interior null, "d"
+    // is all nulls. The 1.0 step of "a" at hour 2 sits exactly on epsilon.
+    // Rows arrive newest first, so the pass must sort each series.
+    val rows: Seq[(String, Int, Option[Double])] =
+      Seq(0 -> 1.0, 1 -> 3.0, 2 -> 4.0, 3 -> 1.5, 5 -> 1.5, 6 -> 9.0, 9 -> 8.5).map { case (t, v) => ("a", t, Some(v)) } ++
+        Seq(None, None, Some(2.0), Some(2.0), None, Some(-3.0), Some(-3.0), None, Some(4.0))
+          .zip(Seq(0, 1, 2, 3, 4, 5, 6, 7, 9)).map { case (v, t) => ("b", t, v) } ++
+        Seq(2 -> Some(10.0), 3 -> None, 4 -> Some(7.0)).map { case (t, v) => ("c", t, v) } ++
+        Seq(0, 1, 2).map(t => ("d", t, Option.empty[Double]))
+    val data = rows.reverse.map { case (id, t, v) => (id, "temperature", ts(t), v) }.toDF("id", "attribute", "time", "data")
+    Oracle.assertEquivalent(
+      Miscela.evolvingEvents(data, CapParams(epsilon = 1.0, delta = 0.0)),
+      """WITH indexed AS (
+        |  SELECT id, CAST(dense_rank() OVER (ORDER BY CAST(time AS TIMESTAMP)) - 1 AS INTEGER) AS tIdx,
+        |         CAST(data AS DOUBLE) AS v
+        |  FROM records
+        |), filled AS (
+        |  SELECT id, tIdx, last_value(v IGNORE NULLS) OVER (
+        |           PARTITION BY id ORDER BY tIdx ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS v
+        |  FROM indexed
+        |), diffs AS (
+        |  SELECT id, tIdx, v - lag(v) OVER (PARTITION BY id ORDER BY tIdx) AS delta
+        |  FROM filled WHERE v IS NOT NULL
+        |)
+        |SELECT id, tIdx, CASE WHEN delta > 0 THEN 1 ELSE -1 END AS sign
+        |FROM diffs WHERE abs(delta) > 1.0""".stripMargin,
+      "records" -> data,
+    )
+  }
+
+  test("a chain-shaped deployment along a road is one component; mine equals naive") {
+    // 60 sensors 0.33 km apart on a meridian: with eta = 0.5 km each one
+    // touches only its two neighbours, so the eta-graph is a 60-hop path.
+    val attrs = Seq("temperature", "trafficVolume", "humidity")
+    val sensors = (0 until 60).map(i => (f"r$i%02d", attrs(i % 3)))
+    val data = dataDf(spark, sensors.map(s => s -> stepSeries(n, 10, jumpsA)).toMap)
+    val locs = locDf(spark, sensors.zipWithIndex.map { case ((id, a), i) => (id, a, 43.4 + i * 0.003, -3.8) })
+    val params = CapParams(epsilon = 1.0, etaKm = 0.5, mu = 3, psi = 2, maxSensors = 3)
+    val comps = Miscela.assembleComponents(spark, data, locs, params)
+    assert(comps.size == 1 && comps.head._1.length == 60 && comps.head._2.length == 59)
+    val fast = canon(Miscela.mine(spark, data, locs, params).collect().toSeq)
+    val slow = canon(Miscela.mine(spark, data, locs, params, useNaive = true).collect().toSeq)
+    // Every path of 2 or 3 consecutive sensors co-evolves with 2-3 attributes.
+    assert(fast.size == 59 + 58 && fast == slow)
+  }
+
+  // Edge inputs the paper allows: each must give the right (maybe empty)
+  // CAP set through the whole pipeline.
+  private val co = stepSeries(n, 10, jumpsA)
+  private val edgeParams = CapParams(epsilon = 1.0, etaKm = 0.5, mu = 3, psi = 2, maxSensors = 3)
+  private def mined(data: DataFrame, locs: DataFrame, params: CapParams = edgeParams) =
+    Miscela.mine(spark, data, locs, params).collect().toSeq
+
+  test("edge input: a single sensor yields no CAP") {
+    val data = dataDf(spark, Map(("x", "temperature") -> co))
+    assert(mined(data, locDf(spark, Seq(("x", "temperature", 43.46, -3.8)))).isEmpty)
+  }
+
+  test("edge input: an all-null series never evolves and is left out") {
+    val data = dataDf(spark, Map(
+      ("x", "temperature") -> co, ("y", "light") -> co, ("z", "humidity") -> Seq.fill(n)(None)))
+    val locs = locDf(spark, Seq(
+      ("x", "temperature", 43.46, -3.8), ("y", "light", 43.4601, -3.8), ("z", "humidity", 43.4602, -3.8)))
+    assert(canon(mined(data, locs)) == canon(Seq(Cap(Seq("light", "temperature"), Seq("x", "y"), jumpsA.size))))
+  }
+
+  test("edge input: no eta-edges at all yields no CAP") {
+    val data = dataDf(spark, Map(("x", "temperature") -> co, ("y", "light") -> co))
+    val locs = locDf(spark, Seq(("x", "temperature", 43.46, -3.8), ("y", "light", 44.46, -3.8)))
+    assert(mined(data, locs).isEmpty)
+  }
+
+  test("edge input: psi above the number of timestamps yields no CAP") {
+    val data = dataDf(spark, Map(("x", "temperature") -> co, ("y", "light") -> co))
+    val locs = locDf(spark, Seq(("x", "temperature", 43.46, -3.8), ("y", "light", 43.4601, -3.8)))
+    assert(mined(data, locs).nonEmpty)
+    assert(mined(data, locs, edgeParams.copy(psi = n + 1)).isEmpty)
+  }
+
+  test("edge input: sensors at duplicate coordinates are neighbours") {
+    val data = dataDf(spark, Map(("x", "temperature") -> co, ("y", "light") -> co))
+    val locs = locDf(spark, Seq(("x", "temperature", 43.46, -3.8), ("y", "light", 43.46, -3.8)))
+    assert(mined(data, locs) == Seq(Cap(Seq("light", "temperature"), Seq("x", "y"), jumpsA.size)))
+  }
+
+  test("edge input: a sensor missing from locations is dropped") {
+    val data = dataDf(spark, Map(("x", "temperature") -> co, ("y", "light") -> co, ("ghost", "humidity") -> co))
+    val locs = locDf(spark, Seq(("x", "temperature", 43.46, -3.8), ("y", "light", 43.4601, -3.8)))
+    assert(mined(data, locs) == Seq(Cap(Seq("light", "temperature"), Seq("x", "y"), jumpsA.size)))
+  }
+
+  test("edge input: empty data yields no CAP") {
+    val locs = locDf(spark, Seq(("x", "temperature", 43.46, -3.8), ("y", "light", 43.4601, -3.8)))
+    assert(mined(dataDf(spark, Map.empty), locs).isEmpty)
   }
 }

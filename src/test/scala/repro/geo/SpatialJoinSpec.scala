@@ -58,6 +58,17 @@ class SpatialJoinSpec extends SparkSpec {
     assert(mined(locs, d + 0.001) == Set(("a", "b")))
   }
 
+  test("a pair just inside eta is found wherever it falls on the cell grid") {
+    // 9.99 km apart along a meridian, but more than 10/111.32 degrees of
+    // latitude: cells that narrow would put the two two cells apart.
+    val locs = Seq(("a", 8.98310, -3.8), ("b", 9.07295, -3.8))
+    assert(mined(locs, 10.0) == Set(("a", "b")))
+    // The same along a parallel at 60°N, where the great circle is shorter
+    // than the parallel: 18.0° of longitude there is 997.7 km.
+    val east = Seq(("a", 60.0, 17.965), ("b", 60.0, 35.965))
+    assert(mined(east, 1000.0) == Set(("a", "b")))
+  }
+
   test("country-scale eta connects cities across cell boundaries") {
     val locs = Seq(("a", 20.0, 80.0), ("b", 23.5, 80.0), ("c", 20.0, 80.5))
     val got = mined(locs, 450.0)

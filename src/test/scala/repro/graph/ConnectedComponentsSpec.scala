@@ -18,8 +18,8 @@ class ConnectedComponentsSpec extends SparkSpec {
     edges.toDF("src", "dst")
   }
 
-  private def components(ids: Seq[String], edges: Seq[(String, String)], maxIter: Int = 50): Map[String, String] =
-    ConnectedComponents.run(spark, vdf(ids), edf(edges), maxIter)
+  private def components(ids: Seq[String], edges: Seq[(String, String)]): Map[String, String] =
+    ConnectedComponents.run(spark, vdf(ids), edf(edges))
       .collect().map(r => r.getString(0) -> r.getString(1)).toMap
 
   /** Reference: union-find. */
@@ -72,11 +72,16 @@ class ConnectedComponentsSpec extends SparkSpec {
     assert(got("lonely") == "lonely")
   }
 
-  test("non-convergence within maxIterations fails loudly") {
-    val ids = (0 until 30).map(i => f"v$i%02d")
-    val edges = (0 until 29).map(i => (f"v$i%02d", f"v${i + 1}%02d"))
-    intercept[IllegalArgumentException] {
-      components(ids, edges, maxIter = 2)
+  // Label propagation needed one round per hop and gave up after 50;
+  // union-find does not depend on the diameter.
+  for (n <- Seq(60, 10000)) {
+    test(s"a $n-vertex chain is one component labelled with its minimum id") {
+      val ids = (0 until n).map(i => f"v$i%05d")
+      // In random order and direction, so the label cannot follow the order.
+      val r = new Random(n)
+      val edges = r.shuffle((1 until n).map(i => if (r.nextBoolean()) (ids(i), ids(i - 1)) else (ids(i - 1), ids(i))))
+      val got = components(ids, edges)
+      assert(got.size == n && got.values.toSet == Set("v00000"))
     }
   }
 

@@ -84,6 +84,21 @@ class CsvIngestSpec extends SparkSpec {
     assert(err.getMessage.contains("timestamp"))
   }
 
+  test("rejects NaN and infinite readings with their count") {
+    val dir = tmpDir()
+    val (d, l, a) = writeFiles(dir,
+      Seq(header,
+        "00000,temperature,2016-03-01 00:00:00,1.0",
+        "00000,temperature,2016-03-01 01:00:00,NaN",
+        "00000,temperature,2016-03-01 02:00:00,Infinity",
+        "00000,temperature,2016-03-01 03:00:00,-Infinity",
+        "00000,temperature,2016-03-01 04:00:00,null"),
+      Seq(locHeader, "00000,temperature,43.0,-3.8"),
+      Seq("temperature"))
+    val err = intercept[CsvIngest.ValidationError] { CsvIngest.read(spark, "x", d, l, a) }
+    assert(err.getMessage.contains("3 record(s)") && err.getMessage.contains("non-finite"))
+  }
+
   test("validate = false skips the checks") {
     val dir = tmpDir()
     val (d, l, a) = writeFiles(dir,
