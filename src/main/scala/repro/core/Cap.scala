@@ -70,6 +70,3 @@ final case class CapParams(
   * @param support    number of timestamps at which all sensors co-evolve
   */
 final case class Cap(attributes: Seq[String], sensors: Seq[String], support: Long)
-
-/** Per-sensor metadata carried into the per-component search. */
-final case class SensorMeta(id: String, attribute: String, lat: Double, lon: Double)

@@ -29,40 +29,31 @@ final case class SensorEvents(id: String, attribute: String, plus: Array[Long], 
   * together or all move down together); under AnySign it is
   * |∩ (plus ∪ minus)|. Both are intersections, hence anti-monotone.
   *
+  * Each sensor enters the search as one bitset: under SameSign
+  * its `plus` words followed by its `minus` words, under AnySign
+  * `plus | minus`. Either way the support of a set is the popcount of the
+  * AND of its members' bitsets: with the concatenated layout the plus
+  * half and the minus half intersect separately, so the popcount is
+  * |∩ plus| + |∩ minus|.
+  *
   * This search runs inside an executor task (one component per task); the
   * distributed axis is the component, see [[Miscela]].
   */
 object CapSearch {
 
-  /** Per-set running state: one bitset per "channel" (2 for SameSign —
-    * all-plus and all-minus — 1 for AnySign).
-    */
-  private[core] def channels(s: SensorEvents, policy: SignPolicy): Array[Array[Long]] =
+  /** The bitset a sensor contributes to every set it joins (see above). */
+  private def bits(s: SensorEvents, policy: SignPolicy): Array[Long] =
     policy match {
-      case SignPolicy.SameSign => Array(s.plus, s.minus)
-      case SignPolicy.AnySign =>
-        val both = new Array[Long](s.plus.length)
-        var i = 0
-        while (i < both.length) { both(i) = s.plus(i) | s.minus(i); i += 1 }
-        Array(both)
+      case SignPolicy.SameSign => s.plus ++ s.minus
+      case SignPolicy.AnySign  => s.plus.zip(s.minus).map { case (p, m) => p | m }
     }
-
-  private[core] def support(state: Array[Array[Long]]): Int = {
-    var s = 0
-    var i = 0
-    while (i < state.length) { s += Bits.cardinality(state(i)); i += 1 }
-    s
-  }
 
   /** Support of an explicit sensor set (recomputed from scratch); shared
     * with the naive baseline and with tests.
     */
   def setSupport(members: Seq[SensorEvents], policy: SignPolicy): Int = {
     require(members.nonEmpty, "setSupport of empty set")
-    val state = members.map(channels(_, policy)).reduce { (a, b) =>
-      a.zip(b).map { case (x, y) => Bits.and(x, y) }
-    }
-    support(state)
+    Bits.cardinality(members.map(bits(_, policy)).reduce(Bits.and))
   }
 
   /** Enumerates all CAPs of one component.
@@ -75,29 +66,30 @@ object CapSearch {
     val n = sensors.length
     if (n < 2) return Nil
     val out = mutable.ArrayBuffer.empty[Cap]
-    val chans = sensors.map(channels(_, params.signPolicy))
+    val sets = sensors.map(bits(_, params.signPolicy))
 
-    def emit(subIdx: List[Int], state: Array[Array[Long]]): Unit = {
+    def emit(subIdx: List[Int], support: Int): Unit = {
       val attrs = subIdx.map(sensors(_).attribute).distinct.sorted
       if (attrs.size >= 2 || params.allowSingleAttribute)
-        out += Cap(attrs, subIdx.map(sensors(_).id).sorted, support(state).toLong)
+        out += Cap(attrs, subIdx.map(sensors(_).id).sorted, support.toLong)
     }
 
     /** @param sub       current connected set (indices), non-empty
       * @param frontier  vertices adjacent to `sub`, not in it, not forbidden
       * @param forbidden vertices excluded along this path (incl. all < root)
       */
-    def rec(sub: List[Int], state: Array[Array[Long]], frontier: List[Int], forbidden: Set[Int]): Unit = {
+    def rec(sub: List[Int], state: Array[Long], frontier: List[Int], forbidden: Set[Int]): Unit = {
       if (sub.size == params.maxSensors || frontier.isEmpty) return
       val w = frontier.head
       val rest = frontier.tail
       // Include branch — pruned by the anti-monotone properties. A set is
       // emitted exactly once: at the moment its last member is included.
-      val newState = chans(w).zip(state).map { case (c, s) => Bits.and(c, s) }
+      val newState = Bits.and(sets(w), state)
+      val support = Bits.cardinality(newState)
       val attrOk = (sub.map(sensors(_).attribute).toSet + sensors(w).attribute).size <= params.mu
-      if (support(newState) >= params.psi && attrOk) {
+      if (support >= params.psi && attrOk) {
         val withW = w :: sub
-        emit(withW, newState)
+        emit(withW, support)
         val inSub = withW.toSet
         val newcomers = adj(w).iterator
           .filter(u => !forbidden(u) && !inSub(u) && !rest.contains(u))
@@ -110,9 +102,9 @@ object CapSearch {
 
     var root = 0
     while (root < n) {
-      val rootState = chans(root)
+      val rootState = sets(root)
       // A root below ψ cannot seed anything: intersections only shrink.
-      if (support(rootState) >= params.psi) {
+      if (Bits.cardinality(rootState) >= params.psi) {
         val forbidden = (0 until root).toSet
         val frontier = adj(root).filter(_ > root).toList
         rec(root :: Nil, rootState, frontier, forbidden)

@@ -88,9 +88,10 @@ object Miscela {
 
   /** Stages 1–3 on the driver: each component holding a sensor that
     * survived the ψ prune, as (sensors, edges between them), in component
-    * order, plus the number of timestamps on the global grid.
+    * order, plus the number of timestamps on the global grid. Harnesses
+    * that time the search stage in isolation (T3) call it directly.
     */
-  private def assemble(
+  def assembleComponents(
       spark: SparkSession,
       data: DataFrame,
       locations: DataFrame,
@@ -124,7 +125,7 @@ object Miscela {
   }
 
   /** Stages 1–3 plus routing: sensors and η-edges keyed by component
-    * (see [[assemble]]).
+    * (see [[assembleComponents]]).
     *
     * @return (sensors per component, edges per component, number of
     *         timestamps on the global grid)
@@ -136,7 +137,7 @@ object Miscela {
       params: CapParams,
   ): (Dataset[CompSensor], Dataset[CompEdge], Int) = {
     import spark.implicits._
-    val (comps, nT) = assemble(spark, data, locations, params)
+    val (comps, nT) = assembleComponents(spark, data, locations, params)
     (comps.flatMap(_._1).toDS(), comps.flatMap(_._2).toDS(), nT)
   }
 
@@ -157,42 +158,17 @@ object Miscela {
       useNaive: Boolean = false,
   ): Dataset[Cap] = {
     import spark.implicits._
-    val (comps, nT) = assemble(spark, data, locations, params)
+    val (comps, nT) = assembleComponents(spark, data, locations, params)
     spark.sparkContext
       .parallelize(comps, math.max(1, comps.size))
-      .flatMap { case (sensors, edges) => searchComponent(sensors, edges, nT, params, useNaive) }
+      .flatMap { case (sensors, edges) => searchAssembled(sensors, edges, nT, params, useNaive) }
       .toDS()
   }
 
-  /** Runs stages 1–3 and returns each component's sensors and edges, for
-    * harnesses that time the search stage in isolation (T3) — returns
-    * (sensors, edges, nT) per component.
-    */
-  def assembleComponents(
-      spark: SparkSession,
-      data: DataFrame,
-      locations: DataFrame,
-      params: CapParams,
-  ): Seq[(Array[CompSensor], Array[CompEdge], Int)] = {
-    val (comps, nT) = assemble(spark, data, locations, params)
-    comps.map { case (sensors, edges) => (sensors, edges, nT) }
-  }
-
-  /** Runs the chosen search on one pre-assembled component (see
-    * [[assembleComponents]]).
+  /** Builds one assembled component's in-memory structures (see
+    * [[assembleComponents]]) and runs the chosen search on it.
     */
   def searchAssembled(
-      sensors: Array[CompSensor],
-      edges: Array[CompEdge],
-      nT: Int,
-      params: CapParams,
-      useNaive: Boolean,
-  ): Seq[Cap] = searchComponent(sensors, edges, nT, params, useNaive)
-
-  /** Builds the in-memory component structures and runs the chosen search.
-    * Exposed for direct unit testing of the assembly step.
-    */
-  private[core] def searchComponent(
       sensors: Array[CompSensor],
       edges: Array[CompEdge],
       nT: Int,

@@ -27,14 +27,6 @@ object TimeIndex {
     i
   }
 
-  /** (time, tIdx) mapping, tIdx dense from 0 in time order. */
-  def build(data: DataFrame): DataFrame = {
-    val spark = data.sparkSession
-    import spark.implicits._
-    grid(data).toSeq.zipWithIndex.toDF("micros", "tIdx")
-      .select(timestamp_micros(col("micros")).as("time"), col("tIdx"))
-  }
-
   /** Attaches tIdx to every record of `data` (columns id, attribute, time, data). */
   def attach(data: DataFrame): DataFrame = {
     val g = grid(data)

@@ -25,21 +25,6 @@ object T3Runtime {
       sameResults: Boolean,
   )
 
-  /** Runs both miners under `params` and compares results + wall time. */
-  def compare(spark: SparkSession, ds: SmartCityDataset, params: CapParams, config: String): RuntimeRow = {
-    def canon(caps: Seq[repro.core.Cap]) =
-      caps.map(c => (c.attributes.mkString(","), c.sensors.mkString(","), c.support)).sorted
-
-    val (miscela, msM) = Tables.timed {
-      Miscela.mine(spark, ds.data, ds.locations, params).collect().toSeq
-    }
-    val (naive, msN) = Tables.timed {
-      Miscela.mine(spark, ds.data, ds.locations, params, useNaive = true).collect().toSeq
-    }
-    RuntimeRow(config, miscela.size.toLong, msM, msN,
-      msN.toDouble / math.max(1L, msM), canon(miscela) == canon(naive))
-  }
-
   /** Search-stage-only comparison: stages 1–3 run once, then both search
     * strategies are timed on the identical in-memory components. This
     * isolates the algorithmic gap from the (shared) dataflow overhead.
@@ -50,9 +35,9 @@ object T3Runtime {
       params: CapParams,
       config: String,
   ): RuntimeRow = {
-    val comps = Miscela.assembleComponents(spark, ds.data, ds.locations, params)
+    val (comps, nT) = Miscela.assembleComponents(spark, ds.data, ds.locations, params)
     def run(naive: Boolean): Seq[repro.core.Cap] =
-      comps.flatMap { case (sensors, edges, nT) =>
+      comps.flatMap { case (sensors, edges) =>
         Miscela.searchAssembled(sensors, edges, nT, params, useNaive = naive)
       }
     val (miscela, msM) = Tables.timed(run(naive = false))

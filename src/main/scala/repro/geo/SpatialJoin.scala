@@ -12,8 +12,9 @@ import org.apache.spark.sql.functions._
   * distance. Cell sizes come from the haversine formula itself, so no
   * pair within η km can span more than one cell boundary: latitude cells
   * are η/R radians high, and longitude cells are sized for the data's
-  * largest |latitude|, where longitude degrees are shortest. Longitudes
-  * are not wrapped at ±180°.
+  * largest |latitude|, where longitude degrees are shortest. The
+  * longitude cells split the full circle evenly and wrap at ±180°, so
+  * sensors on both sides of the antimeridian are neighbours.
   *
   * Input: `locations` with columns (id, lat, lon); rows without both
   * coordinates have no edges. Output: undirected edge list
@@ -49,9 +50,13 @@ object SpatialJoin {
     val maxAbsLat = sites.iterator.map(s => math.abs(s._2)).max
     val lonSin = math.sin(halfAngle) / math.cos(math.toRadians(maxAbsLat))
     val lonCellDeg = if (lonSin < 1) math.toDegrees(2 * math.asin(lonSin)) else 360.0
+    // n cells of 360/n ≥ lonCellDeg degrees each, numbered modulo n.
+    val nLon = math.max(1L, math.floor(360 / lonCellDeg).toLong)
 
-    def cell(s: (String, Double, Double)): (Long, Long) =
-      (math.floor(s._3 / lonCellDeg).toLong, math.floor(s._2 / latCellDeg).toLong)
+    def cell(s: (String, Double, Double)): (Long, Long) = {
+      val x = math.floor((s._3 + 180) / 360 * nLon).toLong
+      (math.floorMod(x, nLon), math.floor(s._2 / latCellDeg).toLong)
+    }
     val byCell = sites.groupBy(cell)
 
     (for {
@@ -59,10 +64,10 @@ object SpatialJoin {
       (cx, cy) = cell(a)
       dx <- -1 to 1
       dy <- -1 to 1
-      b <- byCell.getOrElse((cx + dx, cy + dy), Nil)
+      b <- byCell.getOrElse((math.floorMod(cx + dx, nLon), cy + dy), Nil)
       if a._1 < b._1
       dist = Haversine.km(a._2, a._3, b._2, b._3)
       if dist < etaKm
-    } yield (a._1, b._1, dist)).distinct // a sensor listed twice pairs twice
+    } yield (a._1, b._1, dist)).distinct // a sensor listed twice, or nLon ≤ 2, pairs twice
   }
 }

@@ -1,6 +1,6 @@
 package repro.ingest
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 
 import repro.data.SmartCityDataset
@@ -13,7 +13,9 @@ import repro.data.SmartCityDataset
   *  - every attribute is listed in `attribute.csv`;
   *  - timestamps lie on one synchronized grid (equal intervals), as the
   *    paper requires ("timestamps must be the same time intervals");
-  *  - every reading is finite or null: NaN and ±Infinity are rejected.
+  *  - every reading is finite or null: NaN and ±Infinity are rejected;
+  *  - every coordinate is null or on the globe: lat in [−90, 90], lon in
+  *    [−180, 180].
   *
   * `data` values equal to the literal string "null" become SQL nulls.
   */
@@ -48,7 +50,7 @@ object CsvIngest {
       .csv(locationCsv)
       .select(col("id"), col("attribute"), col("lat").cast("double"), col("lon").cast("double"))
     val attributes = spark.read
-      .schema(CsvSchemas.attribute)
+      .schema("attribute STRING")
       .csv(attributeCsv)
       .collect()
       .map(_.getString(0))
@@ -68,6 +70,16 @@ object CsvIngest {
         .count()
       if (unknownSensor > 0)
         throw ValidationError(s"$unknownSensor sensor(s) in data.csv missing from location.csv")
+
+      // NaN sorts above every number in Spark SQL, so NaN and ±Infinity
+      // fall outside both ranges; a null coordinate is no range violation
+      // (that sensor simply has no place in the η-graph).
+      val badCoord = locations
+        .agg(count(when(!(col("lat").between(-90, 90) && col("lon").between(-180, 180)), 1)))
+        .collect()(0).getLong(0)
+      if (badCoord > 0)
+        throw ValidationError(s"$badCoord location(s) with an impossible coordinate " +
+          "(NaN, ±Infinity, lat outside [-90, 90] or lon outside [-180, 180])")
 
       // NaN compares above every number in Spark SQL and breaks the
       // evolving test (|v(t) − v(t−1)| > ε), so non-finite readings are

@@ -1,6 +1,6 @@
 package repro.segment
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** MISCELA step 1: "filter uninteresting data fluctuation by applying a

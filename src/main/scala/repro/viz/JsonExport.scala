@@ -92,16 +92,9 @@ object JsonExport {
   }
 
   /** Writes the three payloads of a mining run under `dir`; series is
-    * emitted for the top `maxSeries` CAPs by support. Returns the file
-    * paths written.
+    * emitted for the top 3 CAPs by support. Returns the file paths written.
     */
-  def writeAll(
-      dir: String,
-      caps: Dataset[Cap],
-      locations: DataFrame,
-      data: DataFrame,
-      maxSeries: Int = 3,
-  ): Seq[String] = {
+  def writeAll(dir: String, caps: Dataset[Cap], locations: DataFrame, data: DataFrame): Seq[String] = {
     val base = Paths.get(dir)
     Files.createDirectories(base)
     val capSeq = caps.collect().toSeq
@@ -109,7 +102,7 @@ object JsonExport {
       write(base.resolve("caps.json").toString, capsJson(capSeq)),
       write(base.resolve("sensors.geojson").toString, sensorsGeoJson(locations, capSeq)),
     )
-    val tops = sortedCaps(capSeq).sortBy(-_.support).take(maxSeries).zipWithIndex.map { case (c, i) =>
+    val tops = sortedCaps(capSeq).sortBy(-_.support).take(3).zipWithIndex.map { case (c, i) =>
       write(base.resolve(s"series-$i.json").toString, seriesJson(data, c))
     }
     written ++ tops

@@ -2,59 +2,35 @@ package repro
 
 import org.apache.spark.sql.functions._
 
-/** Sanity checks for the provided DuckDB oracle and TPC-H-lite generators
-  * (kept healthy — the smart-city suites depend on the same oracle).
+/** Sanity checks for the DuckDB oracle the smart-city suites compare
+  * against, on a small literal frame.
   */
 class OracleSpec extends SparkSpec {
 
+  private val sql = "SELECT attribute, count(*) AS n, sum(CAST(v AS DOUBLE)) AS total FROM readings GROUP BY attribute"
+
+  private def readings = {
+    import spark.implicits._
+    Seq(("temperature", 1.5), ("temperature", 2.0), ("light", 300.0), ("noise", 55.25), ("light", 280.5))
+      .toDF("attribute", "v")
+  }
+
   test("oracle accepts an equivalent aggregate") {
-    val li = SynthData.lineitem(spark, sf = 0.0005)
-    val sparkDf = li.groupBy("l_returnflag").agg(count(lit(1)).as("n"))
-    Oracle.assertEquivalent(
-      sparkDf,
-      "SELECT l_returnflag, count(*) AS n FROM lineitem GROUP BY l_returnflag",
-      "lineitem" -> li,
-    )
+    val sparkDf = readings.groupBy("attribute").agg(count(lit(1)).as("n"), sum("v").as("total"))
+    Oracle.assertEquivalent(sparkDf, sql, "readings" -> readings)
   }
 
   test("oracle rejects a wrong result") {
-    val li = SynthData.lineitem(spark, sf = 0.0005)
-    val wrong = li.groupBy("l_returnflag").agg((count(lit(1)) + 1).as("n"))
+    val wrong = readings.groupBy("attribute").agg((count(lit(1)) + 1).as("n"), sum("v").as("total"))
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(
-        wrong,
-        "SELECT l_returnflag, count(*) AS n FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li,
-      )
+      Oracle.assertEquivalent(wrong, sql, "readings" -> readings)
     }
   }
 
   test("oracle rejects mismatched column names") {
-    val li = SynthData.lineitem(spark, sf = 0.0005)
-    val df = li.groupBy("l_returnflag").agg(count(lit(1)).as("wrong_name"))
+    val df = readings.groupBy("attribute").agg(count(lit(1)).as("wrong_name"), sum("v").as("total"))
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(
-        df,
-        "SELECT l_returnflag, count(*) AS n FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li,
-      )
+      Oracle.assertEquivalent(df, sql, "readings" -> readings)
     }
-  }
-
-  test("synth generators are deterministic in (sf, seed)") {
-    val a = SynthData.orders(spark, 0.001).agg(sum("o_totalprice")).collect()(0).getDouble(0)
-    val b = SynthData.orders(spark, 0.001).agg(sum("o_totalprice")).collect()(0).getDouble(0)
-    assert(a == b)
-  }
-
-  test("zipf keys are skewed, uniform keys are not") {
-    val z = SynthData.zipfKeys(spark, 20000, 1000)
-    val u = SynthData.uniformKeys(spark, 20000, 1000)
-    def topShare(df: org.apache.spark.sql.DataFrame): Double = {
-      val top = df.groupBy("k").count().orderBy(desc("count")).limit(1).collect()(0).getLong(1)
-      top.toDouble / 20000
-    }
-    assert(topShare(z) > 0.1, "zipf head should dominate")
-    assert(topShare(u) < 0.01, "uniform head should not")
   }
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.util.Random
+
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Direct tests of the per-component CAP search on hand-built graphs. */
@@ -8,9 +10,9 @@ class CapSearchSpec extends AnyFunSuite {
   private val NT = 64
 
   /** Sensor with plus-events at `plus` and minus-events at `minus`. */
-  private def sensor(id: String, attr: String, plus: Seq[Int], minus: Seq[Int] = Nil): SensorEvents = {
-    val p = Bits.empty(NT); plus.foreach(Bits.set(p, _))
-    val m = Bits.empty(NT); minus.foreach(Bits.set(m, _))
+  private def sensor(id: String, attr: String, plus: Seq[Int], minus: Seq[Int] = Nil, nT: Int = NT): SensorEvents = {
+    val p = Bits.empty(nT); plus.foreach(Bits.set(p, _))
+    val m = Bits.empty(nT); minus.foreach(Bits.set(m, _))
     SensorEvents(id, attr, p, m)
   }
 
@@ -145,5 +147,41 @@ class CapSearchSpec extends AnyFunSuite {
     val c = sensor("c", "t3", plus = Seq(5), minus = Seq(2))
     assert(CapSearch.setSupport(Seq(a, b, c), SignPolicy.SameSign) == 1)
     assert(CapSearch.setSupport(Seq(a, b, c), SignPolicy.AnySign) == 2)
+  }
+
+  /** Support recomputed on plain sets of (plus, minus) timestamps. */
+  private def refSupport(members: Seq[(Set[Int], Set[Int])], policy: SignPolicy): Int = policy match {
+    case SignPolicy.SameSign => members.map(_._1).reduce(_ & _).size + members.map(_._2).reduce(_ & _).size
+    case SignPolicy.AnySign  => members.map(m => m._1 | m._2).reduce(_ & _).size
+  }
+
+  // Widths on both sides of the 64-bit word boundary, so the SameSign
+  // layout (plus words, then minus words) spans one, two and three words.
+  for (nT <- Seq(1, 63, 64, 65, 130); (policy, p) <- Seq(SignPolicy.SameSign, SignPolicy.AnySign).zipWithIndex) {
+    test(s"property: setSupport and emitted supports equal a Set recomputation (nT $nT, $policy)") {
+      val r = new Random(nT * 2 + p)
+      (1 to 50).foreach { _ =>
+        val k = 2 + r.nextInt(3)
+        val sets = Seq.fill(k) {
+          val draws = Seq.fill(nT)(r.nextInt(20)) // 45% plus, 45% minus, 10% neither
+          def at(from: Int, until: Int) = draws.indices.filter(t => draws(t) >= from && draws(t) < until).toSet
+          (at(0, 9), at(9, 18))
+        }
+        val sensors = sets.zipWithIndex.map { case ((plus, minus), i) =>
+          sensor(s"s$i", s"a$i", plus.toSeq, minus.toSeq, nT)
+        }
+        val subsets = (2 to k).flatMap(sets.indices.combinations)
+        subsets.foreach { ix =>
+          assert(CapSearch.setSupport(ix.map(sensors), policy) == refSupport(ix.map(sets), policy))
+        }
+        // On a complete graph every subset is connected, so the search must
+        // emit exactly the subsets with support >= psi, each with its support.
+        val complete = adjacency(k, (for (a <- 0 until k; b <- a + 1 until k) yield (a, b)): _*)
+        val params = CapParams(psi = 1, mu = 4, maxSensors = 4, signPolicy = policy)
+        val emitted = CapSearch.enumerate(sensors.toArray, complete, params)
+        val want = subsets.map(ix => ix.map(i => s"s$i").mkString(",") -> refSupport(ix.map(sets), policy).toLong)
+        assert(emitted.map(c => c.sensors.mkString(",") -> c.support).sorted == want.filter(_._2 >= 1).sorted)
+      }
+    }
   }
 }

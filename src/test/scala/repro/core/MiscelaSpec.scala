@@ -122,9 +122,9 @@ class MiscelaSpec extends SparkSpec {
   test("assembleComponents groups sensors and edges consistently with mine") {
     val (data, locs) = world()
     val params = CapParams(epsilon = 1.0, etaKm = 0.5, mu = 3, psi = 2, maxSensors = 3)
-    val comps = Miscela.assembleComponents(spark, data, locs, params)
+    val (comps, nT) = Miscela.assembleComponents(spark, data, locs, params)
     assert(comps.size == 2)
-    val viaAssembly = comps.flatMap { case (s, e, nT) =>
+    val viaAssembly = comps.flatMap { case (s, e) =>
       Miscela.searchAssembled(s, e, nT, params, useNaive = false)
     }.map(c => (c.attributes, c.sensors, c.support)).sortBy(_.toString)
     val viaMine = Miscela.mine(spark, data, locs, params).collect().toSeq
@@ -190,7 +190,7 @@ class MiscelaSpec extends SparkSpec {
     val data = dataDf(spark, sensors.map(s => s -> stepSeries(n, 10, jumpsA)).toMap)
     val locs = locDf(spark, sensors.zipWithIndex.map { case ((id, a), i) => (id, a, 43.4 + i * 0.003, -3.8) })
     val params = CapParams(epsilon = 1.0, etaKm = 0.5, mu = 3, psi = 2, maxSensors = 3)
-    val comps = Miscela.assembleComponents(spark, data, locs, params)
+    val (comps, _) = Miscela.assembleComponents(spark, data, locs, params)
     assert(comps.size == 1 && comps.head._1.length == 60 && comps.head._2.length == 59)
     val fast = canon(Miscela.mine(spark, data, locs, params).collect().toSeq)
     val slow = canon(Miscela.mine(spark, data, locs, params, useNaive = true).collect().toSeq)

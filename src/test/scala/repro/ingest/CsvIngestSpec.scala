@@ -99,6 +99,26 @@ class CsvIngestSpec extends SparkSpec {
     assert(err.getMessage.contains("3 record(s)") && err.getMessage.contains("non-finite"))
   }
 
+  test("rejects impossible coordinates with their count; a null coordinate passes") {
+    val dir = tmpDir()
+    val data = Seq(header) ++ Seq("00000", "00001", "00002", "00003", "00004", "00005")
+      .map(id => s"$id,temperature,2016-03-01 00:00:00,1.0")
+    val (d, l, a) = writeFiles(dir, data,
+      Seq(locHeader,
+        "00000,temperature,95.0,-3.8",
+        "00001,temperature,43.0,-180.5",
+        "00002,temperature,NaN,-3.8",
+        "00003,temperature,43.0,Infinity",
+        "00004,temperature,,-3.8",
+        "00005,temperature,-90.0,180.0"),
+      Seq("temperature"))
+    val err = intercept[CsvIngest.ValidationError] { CsvIngest.read(spark, "x", d, l, a) }
+    assert(err.getMessage.contains("4 location(s)") && err.getMessage.contains("impossible coordinate"))
+
+    val (d2, l2, a2) = writeFiles(tmpDir(), data.take(2), Seq(locHeader, "00000,temperature,,-3.8"), Seq("temperature"))
+    assert(CsvIngest.read(spark, "x", d2, l2, a2).locations.count() == 1)
+  }
+
   test("validate = false skips the checks") {
     val dir = tmpDir()
     val (d, l, a) = writeFiles(dir,

@@ -71,7 +71,7 @@ class JsonExportSpec extends SparkSpec {
     val params = CapParams(etaKm = 10.0, psi = 10, mu = 4, maxSensors = 3)
     val mined = Miscela.mine(spark, slice, ds.locations, params)
     val dir = Files.createTempDirectory("viz-spec").toString
-    val files = JsonExport.writeAll(dir, mined, ds.locations, slice, maxSeries = 2)
+    val files = JsonExport.writeAll(dir, mined, ds.locations, slice)
     assert(files.exists(_.endsWith("caps.json")))
     assert(files.exists(_.endsWith("sensors.geojson")))
     files.foreach { f =>
