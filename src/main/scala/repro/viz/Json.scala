@@ -6,16 +6,12 @@ package repro.viz
   * order) so exports are diffable.
   */
 sealed trait JValue {
-  def render: String = this match {
-    case JNull        => "null"
-    case JBool(b)     => b.toString
-    case JNum(v)      =>
-      if (v.isNaN || v.isInfinite) "null"
-      else if (v == math.floor(v) && math.abs(v) < 1e15) v.toLong.toString
-      else v.toString
-    case JStr(s)      => Json.quote(s)
-    case JArr(xs)     => xs.map(_.render).mkString("[", ",", "]")
-    case JObj(fields) => fields.map { case (k, v) => s"${Json.quote(k)}:${v.render}" }.mkString("{", ",", "}")
+
+  /** The JSON text: one depth-first walk appending to one builder. */
+  def render: String = {
+    val out = new java.lang.StringBuilder
+    Json.append(this, out)
+    out.toString
   }
 }
 case object JNull extends JValue
@@ -27,21 +23,61 @@ final case class JObj(fields: Seq[(String, JValue)]) extends JValue
 
 object Json {
 
-  /** JSON string literal with control/quote/backslash escaping. */
-  def quote(s: String): String = {
-    val sb = new StringBuilder("\"")
-    s.foreach {
-      case '"'           => sb.append("\\\"")
-      case '\\'          => sb.append("\\\\")
-      case '\b'          => sb.append("\\b")
-      case '\f'          => sb.append("\\f")
-      case '\n'          => sb.append("\\n")
-      case '\r'          => sb.append("\\r")
-      case '\t'          => sb.append("\\t")
-      case c if c < ' '  => sb.append(f"\\u${c.toInt}%04x")
-      case c             => sb.append(c)
+  /** Appends the JSON text of `v` to `out`. Non-finite numbers become
+    * `null` (JSON has no representation); integral numbers below 1e15 in
+    * magnitude drop the fraction.
+    */
+  private[viz] def append(v: JValue, out: java.lang.StringBuilder): Unit = v match {
+    case JNull    => out.append("null")
+    case JBool(b) => out.append(b)
+    case JNum(x)  =>
+      if (x.isNaN || x.isInfinite) out.append("null")
+      else if (x == math.floor(x) && math.abs(x) < 1e15) out.append(x.toLong)
+      else out.append(java.lang.Double.toString(x))
+    case JStr(s)  => appendQuoted(s, out)
+    case JArr(xs) =>
+      out.append('[')
+      var first = true
+      xs.foreach { x =>
+        if (!first) out.append(',')
+        first = false
+        append(x, out)
+      }
+      out.append(']')
+    case JObj(fields) =>
+      out.append('{')
+      var first = true
+      fields.foreach { case (k, x) =>
+        if (!first) out.append(',')
+        first = false
+        appendQuoted(k, out)
+        out.append(':')
+        append(x, out)
+      }
+      out.append('}')
+  }
+
+  /** Appends `s` as a JSON string literal, escaping quotes, backslashes
+    * and control characters.
+    */
+  private def appendQuoted(s: String, out: java.lang.StringBuilder): Unit = {
+    out.append('"')
+    var i = 0
+    while (i < s.length) {
+      s.charAt(i) match {
+        case '"'          => out.append("\\\"")
+        case '\\'         => out.append("\\\\")
+        case '\b'         => out.append("\\b")
+        case '\f'         => out.append("\\f")
+        case '\n'         => out.append("\\n")
+        case '\r'         => out.append("\\r")
+        case '\t'         => out.append("\\t")
+        case c if c < ' ' => out.append(f"\\u${c.toInt}%04x")
+        case c            => out.append(c)
+      }
+      i += 1
     }
-    sb.append('"').toString
+    out.append('"')
   }
 
   def obj(fields: (String, JValue)*): JObj = JObj(fields)

@@ -1,6 +1,10 @@
 package repro.cache
 
-import java.nio.file.Files
+import java.nio.file.{Files, Paths}
+
+import scala.concurrent.{Await, Future}
+import scala.concurrent.ExecutionContext.Implicits.global
+import scala.concurrent.duration._
 
 import repro.SparkSpec
 import repro.core.{Cap, CapParams}
@@ -15,6 +19,12 @@ class CapCacheSpec extends SparkSpec {
   private def someCaps(n: Int): org.apache.spark.sql.Dataset[Cap] = {
     import spark.implicits._
     (0 until n).map(i => Cap(Seq("a", "b"), Seq(s"s$i", s"s${i + 1}"), 10L + i)).toDS()
+  }
+
+  /** The names directly under the store root. */
+  private def entries(dir: String): Seq[String] = {
+    val list = Files.list(Paths.get(dir))
+    try list.toArray.toSeq.map(_.toString) finally list.close()
   }
 
   private val p = CapParams(epsilon = 1.0, etaKm = 0.5, mu = 3, psi = 10)
@@ -93,5 +103,29 @@ class CapCacheSpec extends SparkSpec {
       p.copy(maxSensors = 4), p.copy(allowSingleAttribute = true),
     ).map(_.cacheKey)
     assert(keys.distinct.size == keys.size)
+  }
+
+  test("a put whose Dataset throws leaves the previous result, or a miss") {
+    import spark.implicits._
+    val (cache, dir) = newCache()
+    val failing = someCaps(3).map(c => if (c.support >= 0) throw new IllegalStateException("mining failed") else c)
+    intercept[Exception](cache.put("x", p, failing))
+    assert(!cache.contains("x", p) && cache.get(spark, "x", p).isEmpty)
+    cache.put("x", p, someCaps(2))
+    intercept[Exception](cache.put("x", p, failing))
+    assert(cache.get(spark, "x", p).get.count() == 2)
+    val (served, hit) = cache.getOrCompute(spark, "x", p)(someCaps(9))
+    assert(hit && served.count() == 2)
+    assert(entries(dir).size == 1, "a failed put left its staging directory behind")
+  }
+
+  test("two concurrent identical puts leave one readable entry") {
+    val (cache, dir) = newCache()
+    (1 to 3).foreach { _ =>
+      val puts = Seq.fill(2)(Future(cache.put("x", p, someCaps(4))))
+      puts.foreach(Await.result(_, 2.minutes))
+      assert(cache.get(spark, "x", p).get.count() == 4)
+      assert(entries(dir).size == 1)
+    }
   }
 }
