@@ -1,109 +1,102 @@
 package repro.cache
 
-import java.nio.charset.StandardCharsets
-import java.nio.file.{FileSystemException, Files, NoSuchFileException, Path, Paths, StandardCopyOption}
+import java.io.{ByteArrayOutputStream, DataOutputStream}
+import java.nio.ByteBuffer
+import java.nio.charset.StandardCharsets.UTF_8
+import java.nio.file.{Files, NoSuchFileException, Path, Paths, StandardCopyOption}
 import java.security.MessageDigest
-
-import scala.util.Try
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 
 import repro.core.{Cap, CapParams}
 
 /** The paper's caching mechanism (Section 3.3), MongoDB replaced by a
-  * parameter-keyed Parquet store on the local filesystem (see DESIGN.md
+  * parameter-keyed file store on the local filesystem (see DESIGN.md
   * "Substitutions").
   *
   * "We store the name of the dataset, parameters, and CAPs … Before
   * computing CAPs by MISCELA, our system searches for CAPs with the same
   * parameters and the name of the dataset from the database."
   *
-  * Keys are a SHA-256 of (dataset name, canonical parameter string); each
-  * entry is a Parquet directory of [[Cap]] rows plus a `params.txt`
-  * sidecar holding the raw key material, so a (astronomically unlikely)
-  * hash collision is detected rather than silently served. An entry is
-  * written under a staging directory and renamed into place, so it is
-  * either whole or absent.
+  * A CAP set is small, so entries are written and read on the driver. Keys
+  * are a SHA-256 of (dataset name, canonical parameter string). Each entry
+  * is one file, `<key>.caps`: the raw key material, so a (astronomically
+  * unlikely) hash collision is detected rather than silently served, then
+  * the CAP count and each CAP's attributes, sensors and support, every
+  * string length-prefixed. An entry is written to a staging file and
+  * renamed over `<key>.caps`, so it is either whole or absent.
   */
 final class CapCache(root: String) {
 
-  private def keyOf(dataset: String, params: CapParams): (String, String) = {
+  /** The entry file of (dataset, params) and its raw key material. */
+  private def entryOf(dataset: String, params: CapParams): (Path, String) = {
     val material = s"$dataset|${params.cacheKey}"
-    val digest = MessageDigest.getInstance("SHA-256").digest(material.getBytes(StandardCharsets.UTF_8))
-    (digest.map("%02x".format(_)).mkString, material)
+    val digest = MessageDigest.getInstance("SHA-256").digest(material.getBytes(UTF_8))
+    (Paths.get(root, digest.map("%02x".format(_)).mkString + ".caps"), material)
   }
 
-  private def entryDir(key: String) = Paths.get(root, key)
+  /** The entry for (dataset, params), positioned after its key material;
+    * None unless an entry is stored under exactly that material.
+    */
+  private def read(dataset: String, params: CapParams): Option[ByteBuffer] = {
+    val (file, material) = entryOf(dataset, params)
+    try Some(ByteBuffer.wrap(Files.readAllBytes(file))).filter(readStrings(_) == Seq(material))
+    catch { case _: NoSuchFileException => None }
+  }
 
   /** True iff a result for (dataset, params) is stored. */
-  def contains(dataset: String, params: CapParams): Boolean = {
-    val (key, material) = keyOf(dataset, params)
-    val marker = entryDir(key).resolve("params.txt")
-    Files.exists(marker) &&
-    new String(Files.readAllBytes(marker), StandardCharsets.UTF_8) == material
-  }
+  def contains(dataset: String, params: CapParams): Boolean = read(dataset, params).isDefined
 
   /** Stores `caps` for (dataset, params), replacing any previous entry.
     * If the write fails, the previous entry (or none) stays. Of two
     * concurrent puts for the same key, one entry survives.
     */
-  def put(dataset: String, params: CapParams, caps: Dataset[Cap]): Unit = {
-    val (key, material) = keyOf(dataset, params)
-    val store = Files.createDirectories(Paths.get(root))
-    val staged = Files.createTempDirectory(store, s"staging-$key-")
-    val retired = store.resolve(s"${staged.getFileName}-old")
+  def put(dataset: String, params: CapParams, caps: Dataset[Cap]): Unit = write(dataset, params, caps.collect())
+
+  private def write(dataset: String, params: CapParams, caps: Array[Cap]): Unit = {
+    val (file, material) = entryOf(dataset, params)
+    val bytes = new ByteArrayOutputStream()
+    val out = new DataOutputStream(bytes)
+    writeStrings(out, Seq(material))
+    out.writeInt(caps.length)
+    caps.foreach { c =>
+      writeStrings(out, c.attributes)
+      writeStrings(out, c.sensors)
+      out.writeLong(c.support)
+    }
+    val staged = Files.createTempFile(Files.createDirectories(Paths.get(root)), "staging-", "")
     try {
-      caps.write.parquet(staged.resolve("caps.parquet").toString)
-      Files.write(staged.resolve("params.txt"), material.getBytes(StandardCharsets.UTF_8))
-      val dir = entryDir(key)
-      try Files.move(dir, retired, StandardCopyOption.ATOMIC_MOVE)
-      catch { case _: NoSuchFileException => } // no previous entry
-      try Files.move(staged, dir, StandardCopyOption.ATOMIC_MOVE)
-      catch {
-        // A concurrent put of the same key moved its entry in first.
-        case _: FileSystemException if Files.exists(dir.resolve("params.txt")) => deleteTree(staged)
-      }
-    } catch {
-      case e: Throwable =>
-        discard(staged)
-        throw e
-    } finally deleteTree(retired)
+      Files.write(staged, bytes.toByteArray)
+      // rename(2), which replaces an existing entry in one step.
+      Files.move(staged, file, StandardCopyOption.ATOMIC_MOVE)
+    } finally Files.deleteIfExists(staged) // only after a failure is it still there
   }
 
-  /** Deletes a staging directory that will not be published. Tasks Spark
-    * is still cancelling after a failed write may create files under it for
-    * a moment, so the delete repeats until the directory has stayed gone
-    * for three checks 50 ms apart.
-    */
-  private def discard(staged: Path): Unit = {
-    var (absent, tries) = (0, 0)
-    while (absent < 3 && tries < 100) {
-      if (Files.exists(staged)) {
-        absent = 0
-        Try(deleteTree(staged))
-      } else absent += 1
-      tries += 1
-      Thread.sleep(50)
+  private def writeStrings(out: DataOutputStream, strings: Seq[String]): Unit = {
+    out.writeInt(strings.size)
+    strings.foreach { s =>
+      val bytes = s.getBytes(UTF_8)
+      out.writeInt(bytes.length)
+      out.write(bytes)
     }
   }
 
-  private def deleteTree(path: Path): Unit =
-    if (Files.exists(path)) {
-      val walk = Files.walk(path)
-      try walk.sorted(java.util.Comparator.reverseOrder[Path]()).forEach(p => Files.delete(p))
-      finally walk.close()
+  private def readStrings(in: ByteBuffer): Seq[String] =
+    Seq.fill(in.getInt()) {
+      val bytes = new Array[Byte](in.getInt())
+      in.get(bytes)
+      new String(bytes, UTF_8)
     }
 
   /** The stored result for (dataset, params), if any. */
   def get(spark: SparkSession, dataset: String, params: CapParams): Option[Dataset[Cap]] = {
     import spark.implicits._
-    if (!contains(dataset, params)) None
-    else Some(spark.read.parquet(entryDir(keyOf(dataset, params)._1).resolve("caps.parquet").toString).as[Cap])
+    read(dataset, params).map(in => Seq.fill(in.getInt())(Cap(readStrings(in), readStrings(in), in.getLong())).toDS())
   }
 
   /** The interactive-analysis entry point: serve from the store when the
-    * user re-submits known parameters, otherwise run MISCELA and persist.
-    * Returns (caps, cacheHit).
+    * user re-submits known parameters, otherwise run MISCELA once, persist
+    * its CAPs and serve those. Returns (caps, cacheHit).
     */
   def getOrCompute(
       spark: SparkSession,
@@ -113,10 +106,9 @@ final class CapCache(root: String) {
     get(spark, dataset, params) match {
       case Some(cached) => (cached, true)
       case None =>
-        val caps = compute
-        put(dataset, params, caps)
-        // Read back the persisted copy so downstream reuse does not
-        // recompute the (lazy) mining plan.
-        (get(spark, dataset, params).get, false)
+        import spark.implicits._
+        val caps = compute.collect()
+        write(dataset, params, caps)
+        (caps.toSeq.toDS(), false)
     }
 }

@@ -9,7 +9,8 @@ import repro.data.SmartCityDataset
   * `location.csv`, `attribute.csv` under one directory, validating the
   * cross-file invariants the MISCELA-V back end relies on:
   *
-  *  - every (id, attribute) of `data.csv` is registered in `location.csv`;
+  *  - every (id, attribute) of `data.csv` is registered in `location.csv`,
+  *    which lists each id once (a sensor measures one attribute);
   *  - every attribute is listed in `attribute.csv`;
   *  - timestamps lie on one synchronized grid (equal intervals), as the
   *    paper requires ("timestamps must be the same time intervals");
@@ -73,13 +74,19 @@ object CsvIngest {
 
       // NaN sorts above every number in Spark SQL, so NaN and ±Infinity
       // fall outside both ranges; a null coordinate is no range violation
-      // (that sensor simply has no place in the η-graph).
-      val badCoord = locations
-        .agg(count(when(!(col("lat").between(-90, 90) && col("lon").between(-180, 180)), 1)))
-        .collect()(0).getLong(0)
+      // (that sensor simply has no place in the η-graph). Mining groups the
+      // records by id, so an id listed twice would merge two series.
+      val loc = locations
+        .agg(
+          count(when(!(col("lat").between(-90, 90) && col("lon").between(-180, 180)), 1)),
+          count(col("id")) - countDistinct(col("id")),
+        )
+        .collect()(0)
+      val (badCoord, duplicates) = (loc.getLong(0), loc.getLong(1))
       if (badCoord > 0)
         throw ValidationError(s"$badCoord location(s) with an impossible coordinate " +
           "(NaN, ±Infinity, lat outside [-90, 90] or lon outside [-180, 180])")
+      if (duplicates > 0) throw ValidationError(s"$duplicates location(s) repeat the sensor id of another")
 
       // NaN compares above every number in Spark SQL and breaks the
       // evolving test (|v(t) − v(t−1)| > ε), so non-finite readings are

@@ -36,12 +36,18 @@ class CapCacheSpec extends SparkSpec {
   }
 
   test("put then get round-trips the CAP set") {
+    import spark.implicits._
     val (cache, _) = newCache()
-    cache.put("santander", p, someCaps(5))
+    val odd = Seq(",", "|", "\"", "\t", "\n", "a,b|c\"d\te\nf", "Überwachung 温度 🌡", "")
+    val caps = someCaps(5).collect().toSeq ++ Seq(
+      Cap(odd, odd.reverse, 0L),
+      Cap(Seq(""), Seq("", "s0"), Long.MaxValue),
+      Cap(Seq("temperature", "湿度"), Seq("ñ-1", "s\u0000x"), 7L),
+    )
+    cache.put("santander", p, caps.toDS())
     assert(cache.contains("santander", p))
-    val got = cache.get(spark, "santander", p).get.collect().sortBy(_.support)
-    assert(got.length == 5)
-    assert(got(0) == Cap(Seq("a", "b"), Seq("s0", "s1"), 10L))
+    val got = cache.get(spark, "santander", p).get.collect()
+    assert(got.sortBy(_.toString).toSeq == caps.sortBy(_.toString))
   }
 
   test("different parameters are different entries") {
@@ -127,5 +133,39 @@ class CapCacheSpec extends SparkSpec {
       assert(cache.get(spark, "x", p).get.count() == 4)
       assert(entries(dir).size == 1)
     }
+  }
+
+  test("an entry file holding other key material is a miss, as on a hash collision") {
+    val (cache, dir) = newCache()
+    cache.put("a", p, someCaps(2))
+    val entryA = entries(dir).head
+    cache.put("b", p, someCaps(3))
+    val entryB = entries(dir).filterNot(_ == entryA).head
+    Files.copy(Paths.get(entryA), Paths.get(entryB), java.nio.file.StandardCopyOption.REPLACE_EXISTING)
+    assert(!cache.contains("b", p) && cache.get(spark, "b", p).isEmpty)
+    assert(cache.get(spark, "a", p).get.count() == 2)
+  }
+
+  test("a reader never sees a miss while an entry is replaced") {
+    val (cache, _) = newCache()
+    cache.put("x", p, someCaps(500))
+    val writer = Future((1 to 50).foreach(_ => cache.put("x", p, someCaps(500))))
+    var reads = 0
+    while (!writer.isCompleted || reads < 50) {
+      val got = cache.get(spark, "x", p)
+      assert(got.isDefined, s"read $reads missed")
+      assert(got.get.collect().length == 500)
+      reads += 1
+    }
+    Await.result(writer, 2.minutes)
+  }
+
+  test("a miss evaluates the mining Dataset once") {
+    import spark.implicits._
+    val (cache, _) = newCache()
+    val evaluated = spark.sparkContext.longAccumulator("caps evaluated")
+    val (caps, hit) = cache.getOrCompute(spark, "x", p)(someCaps(7).map { c => evaluated.add(1); c })
+    assert(!hit && caps.collect().length == 7)
+    assert(evaluated.value == 7)
   }
 }

@@ -119,6 +119,28 @@ class CsvIngestSpec extends SparkSpec {
     assert(CsvIngest.read(spark, "x", d2, l2, a2).locations.count() == 1)
   }
 
+  test("rejects a sensor id listed twice in location.csv with the count") {
+    // Each (id, attribute) of data.csv is registered, but 00000 and 00001
+    // each carry two attributes: mining would merge their two series.
+    val dir = tmpDir()
+    val (d, l, a) = writeFiles(dir,
+      Seq(header,
+        "00000,temperature,2016-03-01 00:00:00,1.0",
+        "00000,humidity,2016-03-01 00:00:00,60.0",
+        "00001,temperature,2016-03-01 00:00:00,2.0",
+        "00001,humidity,2016-03-01 00:00:00,61.0",
+        "00002,temperature,2016-03-01 00:00:00,3.0"),
+      Seq(locHeader,
+        "00000,temperature,43.0,-3.8",
+        "00000,humidity,43.0,-3.8",
+        "00001,temperature,43.1,-3.8",
+        "00001,humidity,43.1,-3.8",
+        "00002,temperature,43.2,-3.8"),
+      Seq("temperature", "humidity"))
+    val err = intercept[CsvIngest.ValidationError] { CsvIngest.read(spark, "x", d, l, a) }
+    assert(err.getMessage.contains("2 location(s)") && err.getMessage.contains("sensor id"))
+  }
+
   test("validate = false skips the checks") {
     val dir = tmpDir()
     val (d, l, a) = writeFiles(dir,
