@@ -1,9 +1,13 @@
 package repro.bench
 
+import org.apache.spark.sql.functions.col
+
 import repro.SparkSpec
 import repro.core.{CapParams, Miscela}
 import repro.data.SmartCityData
 import repro.exp.T5Cases
+import repro.geo.SpatialJoin
+import repro.graph.ConnectedComponents
 
 /** T5 — the three demonstration case studies (paper Section 4).
   *
@@ -52,7 +56,8 @@ class T5CaseStudiesBench extends SparkSpec {
   test("T5b: the eta graph connects cities in both directions (sanity)") {
     // If rows were spatially disconnected, the east-west finding would be
     // vacuous — verify the single component spans both row-0 and row-1.
-    val (_, comps) = Miscela.spatialComponents(spark, china.locations, CapParams(etaKm = 450.0))
+    val edges = SpatialJoin.edges(spark, china.locations, 450.0)
+    val comps = ConnectedComponents.run(spark, china.locations.select(col("id")), edges)
     val nComps = comps.select("component").distinct().count()
     assert(nComps == 1L, s"expected one connected component, got $nComps")
   }

@@ -30,7 +30,7 @@ object MineCapsJob {
       }
       val out = a.str("out", Files.createTempDirectory("miscela-v").toString)
       val files = JsonExport.writeAll(out, caps, ds.locations, ds.data)
-      println(s"dataset=${ds.name} cacheHit=$hit caps=${caps.count()}")
+      println(s"dataset=${ds.name} cacheHit=$hit caps=${caps.size}")
       files.foreach(f => println(s"wrote $f"))
     } finally spark.stop()
   }

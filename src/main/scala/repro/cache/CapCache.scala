@@ -6,7 +6,7 @@ import java.nio.charset.StandardCharsets.UTF_8
 import java.nio.file.{Files, NoSuchFileException, Path, Paths, StandardCopyOption}
 import java.security.MessageDigest
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.{Dataset, Encoders, SparkSession}
 
 import repro.core.{Cap, CapParams}
 
@@ -25,6 +25,9 @@ import repro.core.{Cap, CapParams}
   * the CAP count and each CAP's attributes, sensors and support, every
   * string length-prefixed. An entry is written to a staging file and
   * renamed over `<key>.caps`, so it is either whole or absent.
+  *
+  * [[getOrCompute]] keeps the CAPs a plain driver-side sequence; [[get]]
+  * and [[put]] adapt the one decoder and encoder to a `Dataset[Cap]`.
   */
 final class CapCache(root: String) {
 
@@ -51,9 +54,10 @@ final class CapCache(root: String) {
     * If the write fails, the previous entry (or none) stays. Of two
     * concurrent puts for the same key, one entry survives.
     */
-  def put(dataset: String, params: CapParams, caps: Dataset[Cap]): Unit = write(dataset, params, caps.collect())
+  def put(dataset: String, params: CapParams, caps: Dataset[Cap]): Unit =
+    write(dataset, params, caps.collect().toIndexedSeq)
 
-  private def write(dataset: String, params: CapParams, caps: Array[Cap]): Unit = {
+  private def write(dataset: String, params: CapParams, caps: IndexedSeq[Cap]): Unit = {
     val (file, material) = entryOf(dataset, params)
     val bytes = new ByteArrayOutputStream()
     val out = new DataOutputStream(bytes)
@@ -89,26 +93,27 @@ final class CapCache(root: String) {
     }
 
   /** The stored result for (dataset, params), if any. */
-  def get(spark: SparkSession, dataset: String, params: CapParams): Option[Dataset[Cap]] = {
-    import spark.implicits._
-    read(dataset, params).map(in => Seq.fill(in.getInt())(Cap(readStrings(in), readStrings(in), in.getLong())).toDS())
-  }
+  def get(spark: SparkSession, dataset: String, params: CapParams): Option[Dataset[Cap]] =
+    load(dataset, params).map(spark.createDataset(_)(Encoders.product[Cap]))
+
+  private def load(dataset: String, params: CapParams): Option[IndexedSeq[Cap]] =
+    read(dataset, params).map(in => IndexedSeq.fill(in.getInt())(Cap(readStrings(in), readStrings(in), in.getLong())))
 
   /** The interactive-analysis entry point: serve from the store when the
     * user re-submits known parameters, otherwise run MISCELA once, persist
-    * its CAPs and serve those. Returns (caps, cacheHit).
+    * its CAPs and serve those. A hit calls no Spark API; a miss collects
+    * `compute` once. Returns (caps, cacheHit).
     */
   def getOrCompute(
       spark: SparkSession,
       dataset: String,
       params: CapParams,
-  )(compute: => Dataset[Cap]): (Dataset[Cap], Boolean) =
-    get(spark, dataset, params) match {
+  )(compute: => Dataset[Cap]): (IndexedSeq[Cap], Boolean) =
+    load(dataset, params) match {
       case Some(cached) => (cached, true)
       case None =>
-        import spark.implicits._
-        val caps = compute.collect()
+        val caps = compute.collect().toIndexedSeq
         write(dataset, params, caps)
-        (caps.toSeq.toDS(), false)
+        (caps, false)
     }
 }

@@ -41,13 +41,12 @@ object Miscela {
 
   /** Stages 1–2 for every sensor of `data` (id, attribute, time, data):
     * (id, plus, minus) indices on `grid` of its evolving timestamps, for
-    * the sensors with at least `minEvents` of them.
+    * the sensors with at least ψ of them.
     */
   private def evolution(
       data: DataFrame,
       grid: Array[Long],
       params: CapParams,
-      minEvents: Int,
   ): Dataset[(String, Seq[Int], Seq[Int])] = {
     val spark = data.sparkSession
     import spark.implicits._
@@ -58,32 +57,12 @@ object Miscela {
       .flatMapGroups { (id, it) =>
         val pts = it.map { case (_, t, v) => (TimeIndex.indexOf(grid, t), v) }.toArray
         val events = EvolvingTimestamps.events(LinearSegmentation.series(pts, params.delta), params.epsilon)
-        if (events.length < minEvents) Iterator.empty
+        if (events.length < params.psi) Iterator.empty
         else {
           val (plus, minus) = events.toSeq.partition(_._2 > 0)
           Iterator((id, plus.map(_._1), minus.map(_._1)))
         }
       }
-  }
-
-  /** Evolving events (id, tIdx, sign) for `data` under `params` — stages
-    * 1–2. `data` columns: id, attribute, time, data (nullable double).
-    */
-  def evolvingEvents(data: DataFrame, params: CapParams): DataFrame = {
-    val spark = data.sparkSession
-    import spark.implicits._
-    evolution(data, TimeIndex.grid(data), params, minEvents = 1)
-      .flatMap { case (id, plus, minus) => plus.map((id, _, 1)) ++ minus.map((id, _, -1)) }
-      .toDF("id", "tIdx", "sign")
-  }
-
-  /** Spatial edges and components (id, component) for `locations` under η
-    * — stage 3.
-    */
-  def spatialComponents(spark: SparkSession, locations: DataFrame, params: CapParams): (DataFrame, DataFrame) = {
-    val edges = SpatialJoin.edges(spark, locations, params.etaKm)
-    val comps = ConnectedComponents.run(spark, locations.select(col("id")), edges)
-    (edges, comps)
   }
 
   /** Stages 1–3 on the driver: each component holding a sensor that
@@ -99,7 +78,7 @@ object Miscela {
   ): (Seq[(Array[CompSensor], Array[CompEdge])], Int) = {
     import spark.implicits._
     val grid = TimeIndex.grid(data)
-    val kept = evolution(data, grid, params, params.psi).collect().map(s => s._1 -> s).toMap
+    val kept = evolution(data, grid, params).collect().map(s => s._1 -> s).toMap
     val locs = locations
       .select(col("id").cast("string"), col("attribute").cast("string"),
         col("lat").cast("double"), col("lon").cast("double"))

@@ -27,13 +27,13 @@ object T4Cache {
       requests: Seq[(String, CapParams)],
   ): Seq[CacheRow] =
     requests.map { case (label, params) =>
-      // Time to *materialized* results either way: a cold request mines and
-      // persists, a warm one reads the store — both end in a count.
+      // Time to the CAPs on the driver either way: a cold request mines and
+      // persists, a warm one reads the store.
       val ((nCaps, hit), ms) = Tables.timed {
         val (caps, h) = cache.getOrCompute(spark, ds.name, params) {
           Miscela.mine(spark, ds.data, ds.locations, params)
         }
-        (caps.count(), h)
+        (caps.size, h)
       }
       CacheRow(label, hit, nCaps, ms)
     }

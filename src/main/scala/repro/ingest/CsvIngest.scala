@@ -15,10 +15,13 @@ import repro.data.SmartCityDataset
   *  - timestamps lie on one synchronized grid (equal intervals), as the
   *    paper requires ("timestamps must be the same time intervals");
   *  - every reading is finite or null: NaN and ±Infinity are rejected;
-  *  - every coordinate is null or on the globe: lat in [−90, 90], lon in
-  *    [−180, 180].
+  *  - each (id, time) is listed once in `data.csv`;
+  *  - every `location.csv` row has an id and an attribute;
+  *  - every coordinate is null or a number on the globe: lat in [−90, 90],
+  *    lon in [−180, 180].
   *
-  * `data` values equal to the literal string "null" become SQL nulls.
+  * `data`, `lat` and `lon` values equal to the literal string "null" (or
+  * empty) become SQL nulls.
   */
 object CsvIngest {
 
@@ -46,10 +49,13 @@ object CsvIngest {
         when(lower(col("data")) === "null" || col("data").isNull, lit(null))
           .otherwise(col("data")).cast("double").as("data"),
       )
-    val locations = spark.read
-      .option("header", "true")
-      .csv(locationCsv)
-      .select(col("id"), col("attribute"), col("lat").cast("double"), col("lon").cast("double"))
+    // A coordinate spelled "null" or left empty has no text; text that is
+    // no number parses to null instead of failing the scan under ANSI mode,
+    // and validation counts it.
+    def text(c: String) = when(lower(col(c)) =!= "null", col(c))
+    def number(c: String) = text(c).try_cast("double")
+    val rawLocations = spark.read.option("header", "true").csv(locationCsv)
+    val locations = rawLocations.select(col("id"), col("attribute"), number("lat").as("lat"), number("lon").as("lon"))
     val attributes = spark.read
       .schema("attribute STRING")
       .csv(attributeCsv)
@@ -74,41 +80,50 @@ object CsvIngest {
 
       // NaN sorts above every number in Spark SQL, so NaN and ±Infinity
       // fall outside both ranges; a null coordinate is no range violation
-      // (that sensor simply has no place in the η-graph). Mining groups the
-      // records by id, so an id listed twice would merge two series.
-      val loc = locations
+      // (that sensor simply has no place in the η-graph). Mining compares
+      // and groups sensors by id, so a row without an id or attribute, or
+      // an id listed twice (which would merge two series), is rejected.
+      val onGlobe = number("lat").between(-90, 90) && number("lon").between(-180, 180)
+      def unparseable(c: String) = text(c).isNotNull && number(c).isNull
+      val loc = rawLocations
         .agg(
-          count(when(!(col("lat").between(-90, 90) && col("lon").between(-180, 180)), 1)),
+          count(when(!onGlobe || unparseable("lat") || unparseable("lon"), 1)),
+          count(when(col("id").isNull || col("attribute").isNull, 1)),
           count(col("id")) - countDistinct(col("id")),
         )
         .collect()(0)
-      val (badCoord, duplicates) = (loc.getLong(0), loc.getLong(1))
+      val (badCoord, unnamed, duplicates) = (loc.getLong(0), loc.getLong(1), loc.getLong(2))
+      if (unnamed > 0) throw ValidationError(s"$unnamed location(s) without a sensor id or attribute")
       if (badCoord > 0)
-        throw ValidationError(s"$badCoord location(s) with an impossible coordinate " +
-          "(NaN, ±Infinity, lat outside [-90, 90] or lon outside [-180, 180])")
+        throw ValidationError(s"$badCoord location(s) with an unparseable or impossible coordinate " +
+          "(not a number, NaN, ±Infinity, lat outside [-90, 90] or lon outside [-180, 180])")
       if (duplicates > 0) throw ValidationError(s"$duplicates location(s) repeat the sensor id of another")
 
       // NaN compares above every number in Spark SQL and breaks the
-      // evolving test (|v(t) − v(t−1)| > ε), so non-finite readings are
-      // rejected along with unparseable timestamps, in one scan.
+      // evolving test (|v(t) − v(t−1)| > ε), and two readings at one
+      // (id, time) leave segmentation a zero-length step, so non-finite
+      // readings and repeated (id, time) pairs are rejected along with
+      // unparseable timestamps, in one scan.
       val bad = rawData
         .agg(
           count(when(col("time").isNull, 1)),
           count(when(isnan(col("data")) || abs(col("data")) === Double.PositiveInfinity, 1)),
+          count(lit(1)) - countDistinct(col("id"), col("time")),
         )
         .collect()(0)
-      val (badTime, nonFinite) = (bad.getLong(0), bad.getLong(1))
+      val (badTime, nonFinite, repeated) = (bad.getLong(0), bad.getLong(1), bad.getLong(2))
       if (badTime > 0)
         throw ValidationError(s"$badTime record(s) with unparseable timestamps")
       if (nonFinite > 0)
         throw ValidationError(s"$nonFinite record(s) with a non-finite reading (NaN or ±Infinity)")
+      if (repeated > 0) throw ValidationError(s"$repeated record(s) repeat the (id, time) of another")
 
       // One synchronized grid: distinct inter-timestamp gaps must be equal.
+      // There are at most thousands of timestamps, so they are sorted here.
       val gaps = rawData
         .select(col("time")).distinct()
-        .select(unix_timestamp(col("time")).as("t"))
-        .orderBy("t")
-        .collect().map(_.getLong(0))
+        .select(unix_timestamp(col("time")))
+        .collect().map(_.getLong(0)).sorted
         .sliding(2).collect { case Array(a, b) => b - a }
         .toSet
       if (gaps.size > 1)

@@ -5,7 +5,7 @@ import java.nio.file.{Files, Path, Paths}
 
 import scala.collection.mutable
 
-import org.apache.spark.sql.{Dataset, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.unsafe.types.UTF8String
 
@@ -24,10 +24,11 @@ import repro.core.Cap
   *  - [[seriesJson]] — the measurement series of one CAP's sensors for the
   *    temporal chart (Figure 3 C/D).
   *
-  * [[writeAll]] does each piece of work once: it sorts the collected CAPs
-  * one time and shares that order between the CAP ids, the GeoJSON
-  * back-references and the top-3 pick, and it fetches the series of all
-  * three top CAPs with one Spark job.
+  * [[writeAll]] takes the CAPs as a plain driver-side sequence and does
+  * each piece of work once: it sorts the CAPs one time and shares that
+  * order between the CAP ids, the GeoJSON back-references and the top-3
+  * pick, and it fetches the series of all three top CAPs with one Spark
+  * job.
   */
 object JsonExport {
 
@@ -49,13 +50,13 @@ object JsonExport {
     */
   def seriesJson(data: DataFrame, cap: Cap): JValue = seriesJsons(data, Seq(cap)).head
 
-  /** Writes the three payloads of a mining run under `dir`; series is
-    * emitted for the top 3 CAPs by support. Returns the file paths written.
+  /** Writes the three payloads of a mining run's CAPs under `dir`; series
+    * is emitted for the top 3 CAPs by support. Returns the paths written.
     */
-  def writeAll(dir: String, caps: Dataset[Cap], locations: DataFrame, data: DataFrame): Seq[String] = {
+  def writeAll(dir: String, caps: Seq[Cap], locations: DataFrame, data: DataFrame): Seq[String] = {
     val base = Paths.get(dir)
     Files.createDirectories(base)
-    val sorted = sortedCaps(caps.collect().toSeq)
+    val sorted = sortedCaps(caps)
     val written = Seq(
       write(base.resolve("caps.json"), capsJsonOf(sorted)),
       write(base.resolve("sensors.geojson"), sensorsGeoJsonOf(locations, sorted)),

@@ -73,9 +73,9 @@ class CapCacheSpec extends SparkSpec {
     var computions = 0
     def compute() = { computions += 1; someCaps(3) }
     val (r1, hit1) = cache.getOrCompute(spark, "santander", p)(compute())
-    assert(!hit1 && r1.count() == 3 && computions == 1)
+    assert(!hit1 && r1.size == 3 && computions == 1)
     val (r2, hit2) = cache.getOrCompute(spark, "santander", p)(compute())
-    assert(hit2 && r2.count() == 3 && computions == 1)
+    assert(hit2 && r2 == r1 && computions == 1)
     val (_, hit3) = cache.getOrCompute(spark, "santander", p.copy(mu = 2))(compute())
     assert(!hit3 && computions == 2)
   }
@@ -121,7 +121,7 @@ class CapCacheSpec extends SparkSpec {
     intercept[Exception](cache.put("x", p, failing))
     assert(cache.get(spark, "x", p).get.count() == 2)
     val (served, hit) = cache.getOrCompute(spark, "x", p)(someCaps(9))
-    assert(hit && served.count() == 2)
+    assert(hit && served.size == 2)
     assert(entries(dir).size == 1, "a failed put left its staging directory behind")
   }
 
@@ -165,7 +165,7 @@ class CapCacheSpec extends SparkSpec {
     val (cache, _) = newCache()
     val evaluated = spark.sparkContext.longAccumulator("caps evaluated")
     val (caps, hit) = cache.getOrCompute(spark, "x", p)(someCaps(7).map { c => evaluated.add(1); c })
-    assert(!hit && caps.collect().length == 7)
+    assert(!hit && caps.size == 7)
     assert(evaluated.value == 7)
   }
 }

@@ -30,6 +30,15 @@ object TinyWorld {
     locs.toDF("id", "attribute", "lat", "lon")
   }
 
+  /** Stages 1–2 as a mining run does them: each located sensor's evolving
+    * timestamps (tIdx, sign) under `params` with ψ = 1, read off the
+    * plus/minus lists of [[Miscela.assembleComponents]].
+    */
+  def evolving(spark: org.apache.spark.sql.SparkSession, data: DataFrame, locs: DataFrame,
+               params: CapParams): Map[String, Set[(Int, Int)]] =
+    Miscela.assembleComponents(spark, data, locs, params.copy(psi = 1))._1.flatMap(_._1)
+      .map(s => s.id -> (s.plus.map((_, 1)) ++ s.minus.map((_, -1))).toSet).toMap
+
   /** A step series: starts at `base`, jumps by the given deltas at the
     * given indices (index i means the value changes between i−1 and i).
     */

@@ -1,8 +1,11 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 
 import repro.{Oracle, SparkSpec}
+import repro.geo.SpatialJoin
+import repro.graph.ConnectedComponents
 
 /** Pipeline-level tests of [[Miscela]] on hand-built micro-datasets. */
 class MiscelaSpec extends SparkSpec {
@@ -32,19 +35,17 @@ class MiscelaSpec extends SparkSpec {
     (data, locs)
   }
 
-  test("evolvingEvents detects exactly the planted jumps") {
-    val (data, _) = world()
-    val params = CapParams(epsilon = 1.0, psi = 1)
-    val events = Miscela.evolvingEvents(data, params)
-      .collect().map(r => (r.getString(0), r.getInt(1), r.getInt(2))).toSet
-    val expectA = jumpsA.map { case (t, d) => ("a1", t, if (d > 0) 1 else -1) }.toSet
-    assert(events.filter(_._1 == "a1") == expectA)
-    assert(events.filter(_._1 == "b1").map(_._2) == jumpsB.keySet)
+  test("stages 1-2 detect exactly the planted jumps") {
+    val (data, locs) = world()
+    val events = evolving(spark, data, locs, CapParams(epsilon = 1.0))
+    val expectA = jumpsA.map { case (t, d) => (t, if (d > 0) 1 else -1) }.toSet
+    assert(events("a1") == expectA)
+    assert(events("b1").map(_._1) == jumpsB.keySet)
   }
 
-  test("spatialComponents separates the two clusters") {
+  test("stage 3 separates the two clusters") {
     val (_, locs) = world()
-    val (_, comps) = Miscela.spatialComponents(spark, locs, CapParams(etaKm = 0.5))
+    val comps = ConnectedComponents.run(spark, locs.select(col("id")), SpatialJoin.edges(spark, locs, 0.5))
     val byComp = comps.collect().map(r => (r.getString(0), r.getString(1)))
       .groupBy(_._2).values.map(_.map(_._1).toSet).toSet
     assert(byComp == Set(Set("a1", "a2", "a3"), Set("b1", "b2")))
@@ -162,8 +163,11 @@ class MiscelaSpec extends SparkSpec {
         Seq(2 -> Some(10.0), 3 -> None, 4 -> Some(7.0)).map { case (t, v) => ("c", t, v) } ++
         Seq(0, 1, 2).map(t => ("d", t, Option.empty[Double]))
     val data = rows.reverse.map { case (id, t, v) => (id, "temperature", ts(t), v) }.toDF("id", "attribute", "time", "data")
+    val locs = locDf(spark, Seq("a", "b", "c", "d").map(id => (id, "temperature", 43.46, -3.8)))
+    val events = evolving(spark, data, locs, CapParams(epsilon = 1.0, delta = 0.0)).toSeq
+      .flatMap { case (id, es) => es.map { case (t, sign) => (id, t, sign) } }
     Oracle.assertEquivalent(
-      Miscela.evolvingEvents(data, CapParams(epsilon = 1.0, delta = 0.0)),
+      events.toDF("id", "tIdx", "sign"),
       """WITH indexed AS (
         |  SELECT id, CAST(dense_rank() OVER (ORDER BY CAST(time AS TIMESTAMP)) - 1 AS INTEGER) AS tIdx,
         |         CAST(data AS DOUBLE) AS v

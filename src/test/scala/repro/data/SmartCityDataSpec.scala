@@ -3,7 +3,8 @@ package repro.data
 import org.apache.spark.sql.functions._
 
 import repro.SparkSpec
-import repro.core.{CapParams, Miscela}
+import repro.core.CapParams
+import repro.core.TinyWorld.evolving
 
 class SmartCityDataSpec extends SparkSpec {
 
@@ -86,9 +87,7 @@ class SmartCityDataSpec extends SparkSpec {
 
   test("santander co-located attribute factors plant temperature-traffic co-evolution") {
     val ds = tinySantander
-    val events = Miscela.evolvingEvents(ds.data, CapParams(epsilon = 1.0))
-    val byId = events.collect().groupBy(_.getString(0)).view
-      .mapValues(_.map(r => (r.getInt(1), r.getInt(2))).toSet).toMap
+    val byId = evolving(spark, ds.data, ds.locations, CapParams(epsilon = 1.0))
     val ids = ds.locations.collect().map(r => (r.getString(0), r.getString(1)))
     val temp = ids.find(_._2 == "temperature").get._1
     val traffic = ids.find(_._2 == "trafficVolume").get._1
@@ -101,9 +100,7 @@ class SmartCityDataSpec extends SparkSpec {
 
   test("china6 city layout: same-row cities share corridor factors") {
     val ds = SmartCityData.china6(spark, 0.004) // ~38 sensors, 4 cities
-    val events = Miscela.evolvingEvents(ds.data, CapParams(epsilon = 1.0))
-      .collect().groupBy(_.getString(0)).view
-      .mapValues(_.map(r => (r.getInt(1), r.getInt(2))).toSet).toMap
+    val events = evolving(spark, ds.data, ds.locations, CapParams(epsilon = 1.0))
     val locs = ds.locations.collect().map(r => (r.getString(0), r.getDouble(2))) // id, lat
     def rowOf(lat: Double) = math.round((lat - 20.0) / 3.5)
     val byRow = locs.groupBy(l => rowOf(l._2))
@@ -136,9 +133,8 @@ class SmartCityDataSpec extends SparkSpec {
 
   test("covid19 regime change: traffic-coupled attributes stop co-evolving after the switch") {
     val ds = SmartCityData.covid19(spark)
-    val events = Miscela.evolvingEvents(ds.data, CapParams(epsilon = 1.0))
-      .collect().groupBy(_.getString(0)).view
-      .mapValues(_.map(_.getInt(1)).toSet).toMap
+    val events = evolving(spark, ds.data, ds.locations, CapParams(epsilon = 1.0))
+      .view.mapValues(_.map(_._1)).toMap
     val ids = ds.locations.collect().map(r => (r.getString(0), r.getString(1), r.getDouble(2)))
     val shanghai = ids.filter(_._3 > 28)
     val no2 = shanghai.find(_._2 == "NO2").get._1

@@ -4,7 +4,8 @@ import java.nio.charset.StandardCharsets
 import java.nio.file.{Files, Paths}
 
 import repro.SparkSpec
-import repro.data.SmartCityData
+import repro.core.TinyWorld
+import repro.data.{SmartCityData, SmartCityDataset}
 
 class CsvIngestSpec extends SparkSpec {
 
@@ -141,6 +142,50 @@ class CsvIngestSpec extends SparkSpec {
     assert(err.getMessage.contains("2 location(s)") && err.getMessage.contains("sensor id"))
   }
 
+  test("rejects an unparseable coordinate, counted with the impossible ones") {
+    val dir = tmpDir()
+    val data = Seq(header) ++ Seq("00000", "00001", "00002")
+      .map(id => s"$id,temperature,2016-03-01 00:00:00,1.0")
+    val (d, l, a) = writeFiles(dir, data,
+      Seq(locHeader,
+        "00000,temperature,abc,-3.8",
+        "00001,temperature,95.0,-3.8",
+        "00002,temperature,43.0,null"),
+      Seq("temperature"))
+    val err = intercept[CsvIngest.ValidationError] { CsvIngest.read(spark, "x", d, l, a) }
+    assert(err.getMessage.contains("2 location(s)") && err.getMessage.contains("unparseable or impossible coordinate"))
+  }
+
+  test("rejects location rows without an id or attribute with their count") {
+    // Mining compares sensor ids; a null one would fail deep in stage 3.
+    val dir = tmpDir()
+    val (d, l, a) = writeFiles(dir,
+      Seq(header, "00000,temperature,2016-03-01 00:00:00,1.0"),
+      Seq(locHeader,
+        "00000,temperature,43.0,-3.8",
+        ",temperature,43.1,-3.8",
+        "00002,,43.2,-3.8"),
+      Seq("temperature"))
+    val err = intercept[CsvIngest.ValidationError] { CsvIngest.read(spark, "x", d, l, a) }
+    assert(err.getMessage.contains("2 location(s)") && err.getMessage.contains("without a sensor id or attribute"))
+  }
+
+  test("rejects two readings for one (id, time) with the count") {
+    // Segmentation would see a zero-length step and lose the sensor's CAPs.
+    val dir = tmpDir()
+    val (d, l, a) = writeFiles(dir,
+      Seq(header,
+        "a,temperature,2016-03-01 00:00:00,1.0",
+        "a,temperature,2016-03-01 01:00:00,5.0",
+        "a,temperature,2016-03-01 01:00:00,7.0",
+        "b,light,2016-03-01 00:00:00,1.0",
+        "b,light,2016-03-01 01:00:00,5.0"),
+      Seq(locHeader, "a,temperature,43.0,-3.8", "b,light,43.0,-3.8"),
+      Seq("temperature", "light"))
+    val err = intercept[CsvIngest.ValidationError] { CsvIngest.read(spark, "x", d, l, a) }
+    assert(err.getMessage.contains("1 record(s)") && err.getMessage.contains("(id, time)"))
+  }
+
   test("validate = false skips the checks") {
     val dir = tmpDir()
     val (d, l, a) = writeFiles(dir,
@@ -169,6 +214,23 @@ class CsvIngestSpec extends SparkSpec {
     val readBack = back.data.orderBy("id", "time").collect()
       .map(r => (r.getString(0), r.getTimestamp(2), Option(r.get(3)).map(_.toString)))
     assert(orig.toSeq == readBack.toSeq)
+  }
+
+  test("round-trip keeps a null coordinate, which CsvExport writes as the null literal") {
+    import spark.implicits._
+    val locs = Seq[(String, String, Option[Double], Option[Double])](
+      ("00000", "temperature", Some(43.46), Some(-3.8)),
+      ("00001", "temperature", None, Some(-3.81)),
+    ).toDF("id", "attribute", "lat", "lon")
+    val data = TinyWorld.dataDf(spark, Map(
+      ("00000", "temperature") -> Seq(Some(1.0), Some(2.0)),
+      ("00001", "temperature") -> Seq(Some(3.0), None),
+    ))
+    val (d, l, a) = CsvExport.write(SmartCityDataset("x", data, locs, Seq("temperature")), tmpDir())
+    assert(Files.readAllLines(Paths.get(l)).contains("00001,temperature,null,-3.81"))
+    val back = CsvIngest.read(spark, "x", d, l, a).locations.orderBy("id").collect()
+    assert(back.length == 2 && back(0).getDouble(2) == 43.46)
+    assert(back(1).isNullAt(2) && back(1).getDouble(3) == -3.81)
   }
 
   test("round-trip preserves null count") {

@@ -70,7 +70,7 @@ class JsonExportSpec extends SparkSpec {
     import org.apache.spark.sql.functions._
     val slice = ds.data.where(col("time") < lit("2020-02-01")) // keep it fast
     val params = CapParams(etaKm = 10.0, psi = 10, mu = 4, maxSensors = 3)
-    val mined = Miscela.mine(spark, slice, ds.locations, params)
+    val mined = Miscela.mine(spark, slice, ds.locations, params).collect().toSeq
     val dir = Files.createTempDirectory("viz-spec").toString
     val files = JsonExport.writeAll(dir, mined, ds.locations, slice)
     assert(files.exists(_.endsWith("caps.json")))
@@ -104,7 +104,7 @@ class JsonExportSpec extends SparkSpec {
       val data = ds.data.persist()
       try {
         val params = CapParams(epsilon = 1.0, etaKm = 0.5, mu = 3, psi = 50, maxSensors = 4)
-        val mined = Miscela.mine(spark, data, ds.locations, params)
+        val mined = Miscela.mine(spark, data, ds.locations, params).collect().toSeq
         val dir = Files.createTempDirectory("viz-pinned")
         JsonExport.writeAll(dir.toString, mined, ds.locations, data)
         Seq("caps.json", "sensors.geojson", "series-0.json", "series-1.json", "series-2.json")
@@ -132,7 +132,7 @@ class JsonExportSpec extends SparkSpec {
       ("b", "trafficVolume") -> Seq(Some(3.0), Some(4.0)),
     ))
     val dir = Files.createTempDirectory("viz-null-coord")
-    JsonExport.writeAll(dir.toString, caps.toDS(), locs, data)
+    JsonExport.writeAll(dir.toString, caps, locs, data)
     val features = mapper.readTree(Files.readAllBytes(dir.resolve("sensors.geojson"))).get("features")
     assert(features.size() == 3)
     assert(features.get(0).get("geometry").get("type").asText() == "Point")
@@ -158,7 +158,7 @@ class JsonExportSpec extends SparkSpec {
     for (rows <- Seq(shuffled, newestFirst)) {
       val data = spark.createDataFrame(spark.sparkContext.parallelize(rows, 3), inOrder.schema)
       val dir = Files.createTempDirectory("viz-order")
-      JsonExport.writeAll(dir.toString, Seq(cap).toDS(), locs, data)
+      JsonExport.writeAll(dir.toString, Seq(cap), locs, data)
       val tree = mapper.readTree(Files.readAllBytes(dir.resolve("series-0.json")))
       assert((0 until tree.size()).map(tree.get(_).get("sensor").asText()) == Seq("a", "b"))
       (0 until 2).foreach { s =>
@@ -173,7 +173,6 @@ class JsonExportSpec extends SparkSpec {
   }
 
   test("seriesJson of each top CAP equals its slice of writeAll's series") {
-    import spark.implicits._
     val data = TinyWorld.dataDf(spark, Map(
       ("a", "temperature") -> Seq(Some(1.0), None, Some(3.0)),
       ("b", "trafficVolume") -> Seq(Some(10.0), Some(20.0), Some(30.0)),
@@ -182,7 +181,7 @@ class JsonExportSpec extends SparkSpec {
     val locs = TinyWorld.locDf(spark, Seq(("a", "temperature", 43.46, -3.80)))
     val all = caps :+ Cap(Seq("light", "trafficVolume"), Seq("b", "c"), 42) :+ Cap(Seq("light"), Seq("c"), 1)
     val dir = Files.createTempDirectory("viz-series")
-    val files = JsonExport.writeAll(dir.toString, all.toDS(), locs, data)
+    val files = JsonExport.writeAll(dir.toString, all, locs, data)
     assert(files.count(_.contains("series-")) == 3)
     // Top 3 by support; equal supports keep the shared CAP order.
     val top = Seq(all(2), all(0), all(1))
