@@ -35,6 +35,24 @@ object Bits {
     out
   }
 
+  /** Writes `a AND b` into `out` and returns its population count. Stops
+    * as soon as the words left cannot lift the count to `atLeast`, leaving
+    * the rest of `out` stale and returning a count below `atLeast`.
+    */
+  def andCount(a: Array[Long], b: Array[Long], out: Array[Long], atLeast: Int): Int = {
+    val n = a.length
+    var c = 0
+    var i = 0
+    while (i < n) {
+      val x = a(i) & b(i)
+      out(i) = x
+      c += java.lang.Long.bitCount(x)
+      i += 1
+      if (c + ((n - i) << 6) < atLeast) return c
+    }
+    c
+  }
+
   /** Population count. */
   def cardinality(a: Array[Long]): Int = {
     var c = 0

@@ -13,16 +13,16 @@ final case class SensorEvents(id: String, attribute: String, plus: Array[Long], 
   *
   * "We recursively conduct the CAP search with gradually expanding
   * spatially close sensors according to a tree structure" — the tree here
-  * is a binary include/exclude enumeration of connected induced subgraphs:
-  * every connected sensor set is rooted at its minimum-index member and,
-  * along each path, a frontier vertex is either taken into the set or
-  * forbidden forever, so each set is visited exactly once. Two
-  * anti-monotone properties prune whole subtrees:
+  * enumerates connected induced subgraphs ESU-style (Wernicke, IEEE/ACM
+  * TCBB 2006): every connected sensor set is rooted at its minimum-index
+  * member, and a set grows only by a frontier vertex above the root that
+  * no earlier sibling has already tried, so each set is visited exactly
+  * once. Two anti-monotone properties prune whole subtrees:
   *
   *  - support prune: the co-evolution support of a set only shrinks as the
-  *    set grows, so an include-branch whose running bitset intersection
-  *    drops below ψ is dead;
-  *  - attribute prune: distinct attributes only grow, so an include-branch
+  *    set grows, so an extension whose running bitset intersection drops
+  *    below ψ is dead;
+  *  - attribute prune: distinct attributes only grow, so an extension
   *    already exceeding μ distinct attributes is dead.
   *
   * Support of a set S under SameSign is |∩ plus| + |∩ minus| (all move up
@@ -36,8 +36,15 @@ final case class SensorEvents(id: String, attribute: String, plus: Array[Long], 
   * half and the minus half intersect separately, so the popcount is
   * |∩ plus| + |∩ minus|.
   *
-  * This search runs inside an executor task (one component per task); the
-  * distributed axis is the component, see [[Miscela]].
+  * The walk allocates nothing per step. It keeps one intersection row per
+  * depth, one `blocked` mark per vertex (vertices tried on this path,
+  * members and frontier), the frontier as one shared stack whose child
+  * range is contiguous, and a per-attribute member count for μ; only an
+  * emitted CAP allocates. Recursion depth is at most `maxSensors`.
+  *
+  * Subtrees under different roots are independent, so a caller may split
+  * one component's search by root: see the `roots` selection and
+  * [[Miscela.mine]], which fans (component, root) units out over tasks.
   */
 object CapSearch {
 
@@ -56,58 +63,116 @@ object CapSearch {
     Bits.cardinality(members.map(bits(_, policy)).reduce(Bits.and))
   }
 
-  /** Enumerates all CAPs of one component.
+  /** Enumerates the CAPs of one component whose minimum member is a
+    * selected root.
     *
     * @param sensors component members, indexed 0..n-1
     * @param adj     adjacency lists over those indices (η-proximity edges
     *                restricted to the component)
+    * @param roots   selects the roots to search; the union of the results
+    *                over a partition of 0..n-1 is the full CAP set
     */
-  def enumerate(sensors: Array[SensorEvents], adj: Array[Array[Int]], params: CapParams): Seq[Cap] = {
+  def enumerate(
+      sensors: Array[SensorEvents],
+      adj: Array[Array[Int]],
+      params: CapParams,
+      roots: Int => Boolean = _ => true,
+  ): Seq[Cap] = {
     val n = sensors.length
     if (n < 2) return Nil
     val out = mutable.ArrayBuffer.empty[Cap]
     val sets = sensors.map(bits(_, params.signPolicy))
+    val psi = params.psi
+    val maxSensors = params.maxSensors
 
-    def emit(subIdx: List[Int], support: Int): Unit = {
-      val attrs = subIdx.map(sensors(_).attribute).distinct.sorted
-      if (attrs.size >= 2 || params.allowSingleAttribute)
-        out += Cap(attrs, subIdx.map(sensors(_).id).sorted, support.toLong)
-    }
+    // Attributes as codes into a sorted table; ids ranked in sorted order.
+    val attrNames = sensors.map(_.attribute).distinct.sorted
+    val attrOf = sensors.map(s => attrNames.indexOf(s.attribute))
+    val byId = sensors.indices.sortBy(sensors(_).id).toArray
+    val rankOf = new Array[Int](n)
+    byId.indices.foreach(r => rankOf(byId(r)) = r)
 
-    /** @param sub       current connected set (indices), non-empty
-      * @param frontier  vertices adjacent to `sub`, not in it, not forbidden
-      * @param forbidden vertices excluded along this path (incl. all < root)
-      */
-    def rec(sub: List[Int], state: Array[Long], frontier: List[Int], forbidden: Set[Int]): Unit = {
-      if (sub.size == params.maxSensors || frontier.isEmpty) return
-      val w = frontier.head
-      val rest = frontier.tail
-      // Include branch — pruned by the anti-monotone properties. A set is
-      // emitted exactly once: at the moment its last member is included.
-      val newState = Bits.and(sets(w), state)
-      val support = Bits.cardinality(newState)
-      val attrOk = (sub.map(sensors(_).attribute).toSet + sensors(w).attribute).size <= params.mu
-      if (support >= params.psi && attrOk) {
-        val withW = w :: sub
-        emit(withW, support)
-        val inSub = withW.toSet
-        val newcomers = adj(w).iterator
-          .filter(u => !forbidden(u) && !inSub(u) && !rest.contains(u))
-          .toList
-        rec(withW, newState, rest ++ newcomers, forbidden)
-      }
-      // Exclude branch: w never joins any extension of `sub` on this path.
-      rec(sub, state, rest, forbidden + w)
-    }
-
+    val rows = Array.fill(maxSensors)(new Array[Long](sets(0).length))
+    val members = new Array[Int](maxSensors)
+    val blocked = new Array[Boolean](n)
+    val stack = new Array[Int](n)
+    val attrCount = new Array[Int](attrNames.length)
+    var distinct = 0
     var root = 0
+
+    def emit(size: Int, support: Int): Unit = {
+      val ranks = Array.tabulate(size)(k => rankOf(members(k)))
+      java.util.Arrays.sort(ranks)
+      val codes = Array.tabulate(size)(k => attrOf(members(k)))
+      java.util.Arrays.sort(codes)
+      val attrs = codes.distinct.map(attrNames(_)).toSeq
+      out += Cap(attrs, ranks.map(r => sensors(byId(r)).id).toSeq, support.toLong)
+    }
+
+    /** Pushes the unblocked neighbours of `w` above the root onto the stack
+      * from `top` and marks them; returns the new top.
+      */
+    def pushNewcomers(w: Int, top: Int): Int = {
+      var t = top
+      val ns = adj(w)
+      var k = 0
+      while (k < ns.length) {
+        val u = ns(k)
+        if (u > root && !blocked(u)) { blocked(u) = true; stack(t) = u; t += 1 }
+        k += 1
+      }
+      t
+    }
+
+    def unmark(from: Int, until: Int): Unit = {
+      var k = from
+      while (k < until) { blocked(stack(k)) = false; k += 1 }
+    }
+
+    /** Extends the set `members(0 until size)`, whose intersection is
+      * `rows(size - 1)`, by each frontier vertex in `stack(from until top)`
+      * in turn; a vertex tried here stays blocked for the later siblings.
+      */
+    def extend(size: Int, from: Int, top: Int): Unit = {
+      var i = from
+      while (i < top) {
+        val w = stack(i)
+        val a = attrOf(w)
+        val grown = if (attrCount(a) == 0) distinct + 1 else distinct
+        if (grown <= params.mu) {
+          val support = Bits.andCount(rows(size - 1), sets(w), rows(size), psi)
+          if (support >= psi) {
+            members(size) = w
+            attrCount(a) += 1
+            val saved = distinct
+            distinct = grown
+            if (distinct >= 2 || params.allowSingleAttribute) emit(size + 1, support)
+            if (size + 1 < maxSensors) {
+              val newTop = pushNewcomers(w, top)
+              extend(size + 1, i + 1, newTop)
+              unmark(top, newTop)
+            }
+            distinct = saved
+            attrCount(a) -= 1
+          }
+        }
+        i += 1
+      }
+    }
+
     while (root < n) {
-      val rootState = sets(root)
       // A root below ψ cannot seed anything: intersections only shrink.
-      if (Bits.cardinality(rootState) >= params.psi) {
-        val forbidden = (0 until root).toSet
-        val frontier = adj(root).filter(_ > root).toList
-        rec(root :: Nil, rootState, frontier, forbidden)
+      if (roots(root) && Bits.cardinality(sets(root)) >= psi) {
+        System.arraycopy(sets(root), 0, rows(0), 0, rows(0).length)
+        members(0) = root
+        attrCount(attrOf(root)) = 1
+        distinct = 1
+        blocked(root) = true
+        val top = pushNewcomers(root, 0)
+        extend(1, 0, top)
+        unmark(0, top)
+        blocked(root) = false
+        attrCount(attrOf(root)) = 0
       }
       root += 1
     }

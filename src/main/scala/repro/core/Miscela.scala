@@ -33,9 +33,12 @@ final case class CompEdge(component: String, src: String, dst: String)
   *  - stage 3 runs on the driver over the collected locations: the
   *    η-proximity join ([[SpatialJoin.pairs]]) and union-find components
   *    ([[ConnectedComponents.labels]]);
-  *  - stage 4 sends the assembled components out as one lazy Spark job with
-  *    one task per component, each running the pruned CAP search, so
-  *    components are mined in parallel across the cluster.
+  *  - stage 4 is one lazy Spark job. Search subtrees under different roots
+  *    are independent ([[CapSearch]]), so the unit of work is a (component,
+  *    root) pair: the units of the components with at least two sensors are
+  *    numbered in component order and dealt round-robin to
+  *    min(defaultParallelism, units) tasks. One large component is thus
+  *    searched on every core, and many small ones share a few tasks.
   */
 object Miscela {
 
@@ -138,14 +141,28 @@ object Miscela {
   ): Dataset[Cap] = {
     import spark.implicits._
     val (comps, nT) = assembleComponents(spark, data, locations, params)
+    // A lone sensor has no pattern. Every other component contributes one
+    // unit per member; `first(c)` is the ordinal of component c's root 0.
+    val searched = comps.filter(_._1.length >= 2).toArray
+    val first = searched.scanLeft(0)(_ + _._1.length)
+    val k = math.max(1, math.min(spark.sparkContext.defaultParallelism, first.last))
     spark.sparkContext
-      .parallelize(comps, math.max(1, comps.size))
-      .flatMap { case (sensors, edges) => searchAssembled(sensors, edges, nT, params, useNaive) }
+      .parallelize(0 until k, k)
+      .flatMap { j =>
+        // Task j searches the units whose ordinal is j modulo k, and builds
+        // only the components it holds a root of.
+        searched.iterator.zip(first.iterator).flatMap { case ((sensors, edges), f) =>
+          if (Math.floorMod(j - f, k) >= sensors.length) Nil
+          else searchAssembled(sensors, edges, nT, params, useNaive, r => (f + r) % k == j)
+        }
+      }
       .toDS()
   }
 
   /** Builds one assembled component's in-memory structures (see
-    * [[assembleComponents]]) and runs the chosen search on it.
+    * [[assembleComponents]]) and runs the chosen search on it, over the
+    * selected roots. Members are indexed in id order, so root r is the
+    * sensor with the r-th smallest id.
     */
   def searchAssembled(
       sensors: Array[CompSensor],
@@ -153,6 +170,7 @@ object Miscela {
       nT: Int,
       params: CapParams,
       useNaive: Boolean,
+      roots: Int => Boolean = _ => true,
   ): Seq[Cap] = {
     if (sensors.length < 2) return Nil
     val ordered = sensors.sortBy(_.id)
@@ -173,7 +191,7 @@ object Miscela {
       }
     }
     val adjArr = adj.map(_.result().toArray.sorted)
-    if (useNaive) NaiveSearch.enumerate(events, adjArr, params)
-    else CapSearch.enumerate(events, adjArr, params)
+    if (useNaive) NaiveSearch.enumerate(events, adjArr, params, roots)
+    else CapSearch.enumerate(events, adjArr, params, roots)
   }
 }

@@ -31,10 +31,16 @@ object NaiveSearch {
     seen.size == subset.size
   }
 
-  /** Enumerates all CAPs of one component — same contract as
-    * [[CapSearch.enumerate]], exponentially slower.
+  /** Enumerates the CAPs of one component whose minimum member is a
+    * selected root — same contract as [[CapSearch.enumerate]],
+    * exponentially slower.
     */
-  def enumerate(sensors: Array[SensorEvents], adj: Array[Array[Int]], params: CapParams): Seq[Cap] = {
+  def enumerate(
+      sensors: Array[SensorEvents],
+      adj: Array[Array[Int]],
+      params: CapParams,
+      roots: Int => Boolean = _ => true,
+  ): Seq[Cap] = {
     val n = sensors.length
     val out = mutable.ArrayBuffer.empty[Cap]
 
@@ -51,7 +57,8 @@ object NaiveSearch {
       if (acc.size < params.maxSensors) {
         var i = start
         while (i < n) {
-          subsets(i + 1, i :: acc)
+          // Indices are picked in ascending order: the first is the minimum.
+          if (acc.nonEmpty || roots(i)) subsets(i + 1, i :: acc)
           i += 1
         }
       }

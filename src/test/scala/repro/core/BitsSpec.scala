@@ -58,4 +58,27 @@ class BitsSpec extends AnyFunSuite {
       assert(Bits.cardinality(Bits.and(a, b)) == xs.intersect(ys).size)
     }
   }
+
+  for (seed <- 1 to 5) {
+    test(s"property: andCount is the AND's popcount, or a count below atLeast (seed $seed)") {
+      val r = new Random(seed)
+      (1 to 50).foreach { _ =>
+        val n = 1 + r.nextInt(800)
+        // Dense inputs too, so the bound 64 x words left is tight.
+        val density = Seq(0.05, 0.5, 0.95, 1.0)(r.nextInt(4))
+        val a = Bits.empty(n); val b = Bits.empty(n)
+        (0 until n).foreach { i =>
+          if (r.nextDouble() < density) Bits.set(a, i)
+          if (r.nextDouble() < density) Bits.set(b, i)
+        }
+        val and = Bits.and(a, b)
+        val want = Bits.cardinality(and)
+        val atLeast = r.nextInt(n + 2)
+        val out = Bits.empty(n)
+        val got = Bits.andCount(a, b, out, atLeast)
+        if (want >= atLeast) assert(got == want && out.sameElements(and), s"n=$n atLeast=$atLeast")
+        else assert(got < atLeast, s"n=$n atLeast=$atLeast: $got")
+      }
+    }
+  }
 }

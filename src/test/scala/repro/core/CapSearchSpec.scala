@@ -139,6 +139,22 @@ class CapSearchSpec extends AnyFunSuite {
     assert(list.size == 11)
   }
 
+  test("a 50,000-leaf star is searched in linear time") {
+    // Every leaf co-evolves with the hub; the odd leaves share the hub's
+    // attribute, so only the even ones form a CAP with it. A copied
+    // frontier made this quadratic in the number of leaves (214 s).
+    val leaves = 50000
+    val hub = sensor("hub", "a", Seq(1))
+    val s = hub +: (0 until leaves).map(i => sensor(f"leaf$i%05d", if (i % 2 == 0) "b" else "a", Seq(1)))
+    val adj = Array(Array.range(1, leaves + 1)) ++ Array.fill(leaves)(Array(0))
+    val t0 = System.nanoTime()
+    val got = CapSearch.enumerate(s.toArray, adj, CapParams(psi = 1, maxSensors = 2))
+    val seconds = (System.nanoTime() - t0) / 1e9
+    assert(got.size == leaves / 2)
+    assert(got.forall(c => c.sensors.head == "hub" && c.attributes == Seq("a", "b") && c.support == 1))
+    assert(seconds < 10, s"star search took $seconds s")
+  }
+
   test("setSupport matches incremental support") {
     val a = sensor("a", "t1", plus = Seq(1, 2, 5), minus = Seq(7))
     val b = sensor("b", "t2", plus = Seq(2, 5), minus = Seq(7, 9))

@@ -1,5 +1,9 @@
 package repro.core
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 
@@ -206,8 +210,8 @@ class MiscelaSpec extends SparkSpec {
   // CAP set through the whole pipeline.
   private val co = stepSeries(n, 10, jumpsA)
   private val edgeParams = CapParams(epsilon = 1.0, etaKm = 0.5, mu = 3, psi = 2, maxSensors = 3)
-  private def mined(data: DataFrame, locs: DataFrame, params: CapParams = edgeParams) =
-    Miscela.mine(spark, data, locs, params).collect().toSeq
+  private def mined(data: DataFrame, locs: DataFrame, params: CapParams = edgeParams, useNaive: Boolean = false) =
+    Miscela.mine(spark, data, locs, params, useNaive).collect().toSeq
 
   test("edge input: a single sensor yields no CAP") {
     val data = dataDf(spark, Map(("x", "temperature") -> co))
@@ -250,5 +254,37 @@ class MiscelaSpec extends SparkSpec {
   test("edge input: empty data yields no CAP") {
     val locs = locDf(spark, Seq(("x", "temperature", 43.46, -3.8), ("y", "light", 43.4601, -3.8)))
     assert(mined(dataDf(spark, Map.empty), locs).isEmpty)
+  }
+
+  test("stage 4 runs at most defaultParallelism tasks and none for lone sensors") {
+    // 40 sensors 100 km apart plus one 3-sensor cluster: 41 components, but
+    // only the cluster can hold a pattern, and it has 3 (component, root) units.
+    val attrs = Seq("temperature", "trafficVolume", "humidity")
+    val isolated = (0 until 40).map(i => (f"i$i%02d", attrs(i % 3), 10.0 + i, 20.0))
+    val cluster = Seq(("c1", "temperature", 43.46, -3.8), ("c2", "trafficVolume", 43.4601, -3.8),
+      ("c3", "humidity", 43.4602, -3.8))
+    val sites = isolated ++ cluster
+    val data = dataDf(spark, sites.map(s => (s._1, s._2) -> co).toMap)
+    val locs = locDf(spark, sites)
+    val sc = spark.sparkContext
+    val tasks = new AtomicInteger
+    val started = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(job: SparkListenerJobStart): Unit =
+        if (Option(job.properties).exists(_.getProperty("spark.jobGroup.id") == "stage-4")) {
+          tasks.addAndGet(job.stageInfos.map(_.numTasks).sum)
+          started.countDown()
+        }
+    }
+    val search = Miscela.mine(spark, data, locs, edgeParams)
+    sc.addSparkListener(listener)
+    sc.setJobGroup("stage-4", "CAP search")
+    val caps = try search.collect().toSeq finally sc.clearJobGroup()
+    assert(started.await(30, TimeUnit.SECONDS), "the search job never started")
+    sc.removeSparkListener(listener)
+    assert(tasks.get >= 1 && tasks.get <= math.min(sc.defaultParallelism, 3),
+      s"${tasks.get} search tasks at defaultParallelism ${sc.defaultParallelism}")
+    assert(caps.nonEmpty && caps.forall(_.sensors.forall(_.startsWith("c"))))
+    assert(canon(caps) == canon(mined(data, locs, edgeParams, useNaive = true)))
   }
 }

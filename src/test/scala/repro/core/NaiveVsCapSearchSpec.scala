@@ -10,9 +10,8 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 class NaiveVsCapSearchSpec extends AnyFunSuite {
 
-  private def randomComponent(r: Random): (Array[SensorEvents], Array[Array[Int]]) = {
-    val n = 2 + r.nextInt(6) // 2..7 sensors
-    val nT = 32
+  private def randomComponent(r: Random, maxN: Int, nT: Int): (Array[SensorEvents], Array[Array[Int]]) = {
+    val n = 2 + r.nextInt(maxN - 1)
     val nAttrs = 1 + r.nextInt(4)
     val sensors = (0 until n).map { i =>
       val p = Bits.empty(nT); val m = Bits.empty(nT)
@@ -30,16 +29,18 @@ class NaiveVsCapSearchSpec extends AnyFunSuite {
   private def canon(caps: Seq[Cap]): Seq[(String, String, Long)] =
     caps.map(c => (c.attributes.mkString(","), c.sensors.mkString(","), c.support)).sorted
 
-  private def check(seed: Int, params: CapParams): Unit = {
+  /** Returns the number of CAPs found over the ten rounds. */
+  private def check(seed: Int, params: CapParams, maxN: Int = 7, nT: Int = 32): Int = {
     val r = new Random(seed)
-    (1 to 10).foreach { round =>
-      val (sensors, adj) = randomComponent(r)
+    (1 to 10).map { round =>
+      val (sensors, adj) = randomComponent(r, maxN, nT)
       val fast = CapSearch.enumerate(sensors, adj, params)
       val slow = NaiveSearch.enumerate(sensors, adj, params)
       assert(canon(fast) == canon(slow),
         s"divergence at seed=$seed round=$round params=$params\n" +
           s"  fast=${canon(fast)}\n  slow=${canon(slow)}")
-    }
+      fast.size
+    }.sum
   }
 
   private val paramGrid = Seq(
@@ -54,6 +55,40 @@ class NaiveVsCapSearchSpec extends AnyFunSuite {
   for ((params, pi) <- paramGrid.zipWithIndex; seed <- 1 to 5) {
     test(s"pruned search ≡ brute force (param set $pi, seed $seed)") {
       check(seed * 31 + pi, params)
+    }
+  }
+
+  // Bitsets of several words, so the early exit of the fused AND and
+  // popcount can stop between words, and components of up to 12 sensors,
+  // whose ids no longer sort in index order ("s10" < "s2").
+  for ((params, pi) <- paramGrid.zipWithIndex; nT <- Seq(130, 730); seed <- 1 to 2) {
+    test(s"pruned search ≡ brute force (param set $pi, nT $nT, up to 12 sensors, seed $seed)") {
+      val found = check(seed * 131 + pi * 7 + nT, params.copy(psi = params.psi * nT / 64), maxN = 12, nT = nT)
+      assert(found > 0, "no CAP in any round: the comparison is vacuous")
+    }
+  }
+
+  // Splitting the roots into k classes partitions the CAP set: the root
+  // fan-out of Miscela.mine neither loses nor repeats a pattern.
+  private val searches = Seq[(String, (Array[SensorEvents], Array[Array[Int]], CapParams, Int => Boolean) => Seq[Cap])](
+    "pruned" -> CapSearch.enumerate,
+    "naive" -> NaiveSearch.enumerate,
+  )
+  for ((name, search) <- searches; seed <- 1 to 3) {
+    test(s"property: root-selected $name searches partition the full search (seed $seed)") {
+      val r = new Random(seed)
+      (1 to 8).foreach { round =>
+        val (sensors, adj) = randomComponent(r, maxN = 10, nT = 130)
+        val params = paramGrid(round % paramGrid.size)
+        val full = canon(search(sensors, adj, params, _ => true))
+        val n = sensors.length
+        for (k <- Seq(1, 2, 3, 4, 7, n + 3)) {
+          val parts = (0 until k).map(j => canon(search(sensors, adj, params, _ % k == j)))
+          val union = parts.flatten
+          assert(union.sorted == full, s"seed=$seed round=$round k=$k: union differs from the full search")
+          assert(union.distinct.size == union.size, s"seed=$seed round=$round k=$k: parts overlap")
+        }
+      }
     }
   }
 }
