@@ -1,6 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import scala.collection.mutable
+import scala.collection.mutable.ArrayBuilder
+
+import org.apache.spark.HashPartitioner
+import org.apache.spark.sql.{DataFrame, Dataset, Row, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.evolve.EvolvingTimestamps
@@ -22,14 +26,17 @@ final case class CompEdge(component: String, src: String, dst: String)
   * (millions of rows); everything derived from them is small (at most
   * thousands of sensors and timestamps) and is assembled on the driver:
   *
-  *  - the time grid ([[TimeIndex]]) is collected once;
-  *  - stages 1–2 run as one per-sensor pass, a `groupByKey(id)` that maps
-  *    each record onto the grid, then sorts, forward-fills and smooths the
-  *    series ([[LinearSegmentation.series]]) and diffs it against ε
-  *    ([[EvolvingTimestamps.events]]). A sensor with fewer than ψ evolving
-  *    timestamps can never appear in a CAP (a set's support is bounded by
-  *    each member's own support), so it is dropped there; the survivors'
-  *    plus/minus index lists are collected;
+  *  - stages 1–2 run as one shuffle of per-sensor primitive arrays (each
+  *    input partition's readings of a sensor), partitioned by sensor over
+  *    every core. A first job reads each shuffled partition's distinct
+  *    timestamps, which the driver merges into the time grid
+  *    ([[TimeIndex]]); a second job over the same shuffle output maps each
+  *    sensor's readings onto the grid, then sorts, forward-fills and
+  *    smooths the series ([[LinearSegmentation.series]]) and diffs it
+  *    against ε ([[EvolvingTimestamps.events]]). A sensor with fewer than
+  *    ψ evolving timestamps can never appear in a CAP (a set's support is
+  *    bounded by each member's own support), so it is dropped there; the
+  *    survivors' plus/minus index lists are collected;
   *  - stage 3 runs on the driver over the collected locations: the
   *    η-proximity join ([[SpatialJoin.pairs]]) and union-find components
   *    ([[ConnectedComponents.labels]]);
@@ -42,30 +49,73 @@ final case class CompEdge(component: String, src: String, dst: String)
   */
 object Miscela {
 
-  /** Stages 1–2 for every sensor of `data` (id, attribute, time, data):
-    * (id, plus, minus) indices on `grid` of its evolving timestamps, for
-    * the sensors with at least ψ of them.
+  /** One sensor's readings as primitive arrays: epoch-µs times, values,
+    * and whether each value is present (false for a null reading). Either
+    * one input partition's share of the sensor or, merged, all of it.
     */
-  private def evolution(
-      data: DataFrame,
-      grid: Array[Long],
-      params: CapParams,
-  ): Dataset[(String, Seq[Int], Seq[Int])] = {
-    val spark = data.sparkSession
-    import spark.implicits._
-    data
+  private final class Readings(val micros: Array[Long], val values: Array[Double], val present: Array[Boolean])
+      extends Serializable
+
+  /** Map side of stages 1–2: one input partition's (id, epoch µs, value)
+    * rows, grouped by sensor.
+    */
+  private def bySensor(rows: Iterator[Row]): Iterator[(String, Readings)] = {
+    val parts = mutable.HashMap.empty[String, (ArrayBuilder.ofLong, ArrayBuilder.ofDouble, ArrayBuilder.ofBoolean)]
+    rows.foreach { r =>
+      val (micros, values, present) = parts.getOrElseUpdate(r.getString(0),
+        (new ArrayBuilder.ofLong, new ArrayBuilder.ofDouble, new ArrayBuilder.ofBoolean))
+      micros += r.getLong(1)
+      values += (if (r.isNullAt(2)) 0.0 else r.getDouble(2))
+      present += !r.isNullAt(2)
+    }
+    parts.iterator.map { case (id, (micros, values, present)) =>
+      id -> new Readings(micros.result(), values.result(), present.result())
+    }
+  }
+
+  /** Reduce side of stages 1–2: each sensor of one shuffled partition with
+    * its partials from every input partition concatenated.
+    */
+  private def merged(parts: Iterator[(String, Readings)]): Iterator[(String, Readings)] =
+    parts.toSeq.groupBy(_._1).iterator.map { case (id, ps) =>
+      val rs = ps.map(_._2)
+      id -> new Readings(Array.concat(rs.map(_.micros): _*), Array.concat(rs.map(_.values): _*),
+        Array.concat(rs.map(_.present): _*))
+    }
+
+  /** Stages 1–2 for every sensor of `data` (id, attribute, time, data):
+    * (id, plus, minus) indices on the time grid of its evolving timestamps,
+    * for the sensors with at least ψ of them, and the number of timestamps
+    * on the grid.
+    *
+    * Each input partition's readings cross one shuffle as per-sensor
+    * partials. The shuffle is partitioned by sensor over defaultParallelism
+    * partitions, as an RDD so that adaptive execution cannot coalesce it
+    * into one task. Two jobs read it: the first collects each partition's
+    * distinct timestamps, which the driver merges into the grid; the second
+    * runs the stage 1–2 kernel per sensor, and reuses the shuffle files of
+    * the first instead of running its map stage again.
+    */
+  private def evolution(data: DataFrame, params: CapParams): (Array[(String, Array[Int], Array[Int])], Int) = {
+    val shuffled = data
       .select(col("id").cast("string"), unix_micros(col("time")), col("data").cast("double"))
-      .as[(String, Long, Option[Double])]
-      .groupByKey(_._1)
-      .flatMapGroups { (id, it) =>
-        val pts = it.map { case (_, t, v) => (TimeIndex.indexOf(grid, t), v) }.toArray
-        val events = EvolvingTimestamps.events(LinearSegmentation.series(pts, params.delta), params.epsilon)
-        if (events.length < params.psi) Iterator.empty
-        else {
-          val (plus, minus) = events.toSeq.partition(_._2 > 0)
-          Iterator((id, plus.map(_._1), minus.map(_._1)))
-        }
+      .rdd
+      .mapPartitions(bySensor)
+      .partitionBy(new HashPartitioner(data.sparkSession.sparkContext.defaultParallelism))
+    val perPartition = shuffled
+      .mapPartitions(ps => Iterator(TimeIndex.grid(Array.concat(ps.map(_._2.micros).toSeq: _*))))
+      .collect()
+    val grid = TimeIndex.grid(Array.concat(perPartition: _*))
+    val evolved = shuffled
+      .mapPartitions(merged)
+      .flatMap { case (id, r) =>
+        val t = r.micros.map(TimeIndex.indexOf(grid, _))
+        val (plus, minus) =
+          EvolvingTimestamps.events(LinearSegmentation.series(t, r.values, r.present, params.delta), params.epsilon)
+        if (plus.length + minus.length < params.psi) None else Some((id, plus, minus))
       }
+      .collect()
+    (evolved, grid.length)
   }
 
   /** Stages 1–3 on the driver: each component holding a sensor that
@@ -80,8 +130,8 @@ object Miscela {
       params: CapParams,
   ): (Seq[(Array[CompSensor], Array[CompEdge])], Int) = {
     import spark.implicits._
-    val grid = TimeIndex.grid(data)
-    val kept = evolution(data, grid, params).collect().map(s => s._1 -> s).toMap
+    val (evolved, nT) = evolution(data, params)
+    val kept = evolved.map(s => s._1 -> s).toMap
     val locs = locations
       .select(col("id").cast("string"), col("attribute").cast("string"),
         col("lat").cast("double"), col("lon").cast("double"))
@@ -95,7 +145,7 @@ object Miscela {
     // A sensor without a location has no place in the η-graph; drop it.
     val sensors = locs.collect { case (id, attribute, _, _) if kept.contains(id) =>
       val (_, plus, minus) = kept(id)
-      CompSensor(component(id), id, attribute, plus, minus)
+      CompSensor(component(id), id, attribute, plus.toSeq, minus.toSeq)
     }
     val edgesOf = edges
       .collect { case (src, dst, _) if kept.contains(src) && kept.contains(dst) => CompEdge(component(src), src, dst) }
@@ -103,7 +153,7 @@ object Miscela {
     val comps = sensors.groupBy(_.component).toSeq.sortBy(_._1).map { case (c, members) =>
       (members.toArray, edgesOf.getOrElse(c, Nil).toArray)
     }
-    (comps, grid.length)
+    (comps, nT)
   }
 
   /** Stages 1–3 plus routing: sensors and η-edges keyed by component

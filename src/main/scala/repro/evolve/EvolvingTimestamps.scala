@@ -10,8 +10,9 @@ import org.apache.spark.sql.functions._
   * the change is kept because co-evolution under the default SameSign
   * policy requires all sensors of a pattern to move the same way.
   *
-  * Runs per sensor ([[events]]); the previous timestamp is the sensor's
-  * previous point on the grid, so gaps compare across the gap.
+  * Runs per sensor ([[events]]) on the primitive arrays stage 1 returns;
+  * the previous timestamp is the sensor's previous point on the grid, so
+  * gaps compare across the gap.
   */
 object EvolvingTimestamps {
 
@@ -28,24 +29,28 @@ object EvolvingTimestamps {
       .as[(String, Int, Double)]
       .groupByKey(_._1)
       .flatMapGroups { (id, it) =>
-        val pts = it.map { case (_, t, v) => (t, v) }.toArray.sortBy(_._1)
-        events(pts, epsilon).iterator.map { case (t, sign) => (id, t, sign) }
+        val pts = it.toArray.sortBy(_._2)
+        val (plus, minus) = events((pts.map(_._2), pts.map(_._3)), epsilon)
+        plus.iterator.map((id, _, 1)) ++ minus.iterator.map((id, _, -1))
       }
       .toDF("id", "tIdx", "sign")
   }
 
-  /** Stage 2 for one sensor: (tIdx, sign) of every point of `series`
-    * (sorted by tIdx, null-free) whose change from its predecessor
-    * exceeds ε. The first point never evolves.
+  /** Stage 2 for one sensor: the indices of the points of `series`
+    * (indices, values; ascending by index, as [[repro.segment.LinearSegmentation.series]]
+    * returns it) whose change from the previous point exceeds ε, as
+    * (rises, falls). The first point never evolves.
     */
-  def events(series: Array[(Int, Double)], epsilon: Double): Array[(Int, Int)] = {
-    val out = Array.newBuilder[(Int, Int)]
+  def events(series: (Array[Int], Array[Double]), epsilon: Double): (Array[Int], Array[Int]) = {
+    val (t, v) = series
+    val plus = Array.newBuilder[Int]
+    val minus = Array.newBuilder[Int]
     var i = 1
-    while (i < series.length) {
-      val delta = series(i)._2 - series(i - 1)._2
-      if (math.abs(delta) > epsilon) out += ((series(i)._1, if (delta > 0) 1 else -1))
+    while (i < t.length) {
+      val delta = v(i) - v(i - 1)
+      if (math.abs(delta) > epsilon) (if (delta > 0) plus else minus) += t(i)
       i += 1
     }
-    out.result()
+    (plus.result(), minus.result())
   }
 }

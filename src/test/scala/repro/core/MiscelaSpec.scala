@@ -1,11 +1,13 @@
 package repro.core
 
-import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 import java.util.concurrent.atomic.AtomicInteger
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted, StageInfo}
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.functions.{col, spark_partition_id}
 
 import repro.{Oracle, SparkSpec}
 import repro.geo.SpatialJoin
@@ -286,5 +288,79 @@ class MiscelaSpec extends SparkSpec {
       s"${tasks.get} search tasks at defaultParallelism ${sc.defaultParallelism}")
     assert(caps.nonEmpty && caps.forall(_.sensors.forall(_.startsWith("c"))))
     assert(canon(caps) == canon(mined(data, locs, edgeParams, useNaive = true)))
+  }
+
+  test("stages 1-2 run on every core: one shuffle, read by the grid and the kernel") {
+    // At least as many sensors as cores, so every shuffled partition can
+    // hold one: the kernel stage must run one task per core, not one task.
+    val sc = spark.sparkContext
+    val k = sc.defaultParallelism
+    val attrs = Seq("temperature", "trafficVolume", "humidity")
+    val sites = (0 until math.max(8, k)).map(i => (f"s$i%02d", attrs(i % 3), 43.46 + i * 0.001, -3.8))
+    val data = dataDf(spark, sites.map(s => (s._1, s._2) -> co).toMap)
+    val locs = locDf(spark, sites)
+    // A job's result stage is created after its parents, so it has the
+    // job's highest stage id; every other stage submitted is a shuffle map.
+    val resultStages = new ConcurrentLinkedQueue[Int]
+    val stages = new ConcurrentLinkedQueue[StageInfo]
+    val drained = new CountDownLatch(1)
+    def group(p: java.util.Properties) = Option(p).map(_.getProperty("spark.jobGroup.id")).orNull
+    val listener = new SparkListener {
+      override def onJobStart(job: SparkListenerJobStart): Unit = group(job.properties) match {
+        case "stages-1-2" => resultStages.add(job.stageIds.max)
+        // Events reach a listener in order: once this job starts, every
+        // event of the jobs before it has been seen.
+        case "drain" => drained.countDown()
+        case _       =>
+      }
+      override def onStageSubmitted(stage: SparkListenerStageSubmitted): Unit =
+        if (group(stage.properties) == "stages-1-2") stages.add(stage.stageInfo)
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("stages-1-2", "stages 1-3")
+      val (comps, _) = Miscela.assembleComponents(spark, data, locs, edgeParams)
+      assert(comps.flatMap(_._1).length == sites.length)
+      sc.setJobGroup("drain", "listener drain")
+      sc.parallelize(Seq(1), 1).count()
+      assert(drained.await(30, TimeUnit.SECONDS), "the drain job never started")
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
+    val submitted = stages.asScala.toSeq
+    val (results, shuffleMaps) = submitted.partition(s => resultStages.contains(s.stageId))
+    val shuffleReads = results.filter(_.parentIds.nonEmpty)
+    assert(resultStages.size <= 3, s"${resultStages.size} Spark jobs")
+    assert(shuffleMaps.length == 1, s"shuffle map stages run: ${shuffleMaps.map(_.name)}")
+    assert(shuffleReads.nonEmpty && shuffleReads.forall(_.numTasks == math.min(k, sites.length)),
+      s"tasks per shuffle-reading stage: ${shuffleReads.map(_.numTasks)} at defaultParallelism $k")
+  }
+
+  test("a sensor's readings spread over several input partitions merge into one series") {
+    import spark.implicits._
+    // Three sensors with jumps, nulls and a plateau; hour 8 is missing for
+    // all of them (a gap in the grid).
+    val rows = for {
+      (id, phase) <- Seq("a" -> 0, "b" -> 3, "c" -> 5)
+      t <- 0 until 24 if t != 8
+    } yield (id, "temperature", ts(t),
+      if ((t + phase) % 7 == 3) None else Some((((t + phase) * 5) % 11) * 0.5 + (if (t > 12) 4.0 else 0.0)))
+    val single = rows.toDF("id", "attribute", "time", "data").coalesce(1)
+    // Hash-partitioned by time, newest first within each partition.
+    val spread = single.repartition(4, col("time")).sortWithinPartitions(col("time").desc)
+    val partitionsPerSensor = spread.select(col("id"), spark_partition_id().as("p")).distinct()
+      .groupBy("id").count().as[(String, Long)].collect().toMap
+    assert(partitionsPerSensor.size == 3 && partitionsPerSensor.values.forall(_ >= 3), partitionsPerSensor)
+    val locs = locDf(spark, Seq("a", "b", "c").map(id => (id, "temperature", 43.46, -3.8)))
+    def lists(data: DataFrame, params: CapParams) = {
+      val (comps, nT) = Miscela.assembleComponents(spark, data, locs, params)
+      (comps.flatMap(_._1).map(s => (s.id, s.plus, s.minus)).sortBy(_._1), nT)
+    }
+    Seq(CapParams(epsilon = 1.0, psi = 1), CapParams(epsilon = 0.5, delta = 0.5, psi = 1)).foreach { params =>
+      val (expected, nT) = lists(single, params)
+      assert(nT == 23 && expected.length == 3 && expected.forall(e => e._2.nonEmpty && e._3.nonEmpty))
+      assert(lists(spread, params) == ((expected, nT)), params)
+    }
   }
 }

@@ -47,4 +47,19 @@ class TimeIndexSpec extends SparkSpec {
     assert(grid.length == 2)
     assert(indices(data, grid).toSet == Set(0, 1))
   }
+
+  test("the grid of any collection of the records' timestamps is the grid of the records") {
+    // Ragged sensors, one starting late, rows repeated: the timestamps in
+    // any order and any grouping give the same sorted distinct grid.
+    val base = dataDf(spark, Map(
+      ("a", "t") -> Seq(Some(1.0), None, Some(3.0), Some(4.0)),
+      ("b", "u") -> Seq(None, Some(2.0)),
+    ))
+    val data = base.union(base)
+    val micros = data.select(unix_micros(col("time"))).collect().map(_.getLong(0))
+    val expected = TimeIndex.grid(data).toSeq
+    assert(TimeIndex.grid(micros.reverse).toSeq == expected)
+    assert(TimeIndex.grid(micros.grouped(3).map(g => TimeIndex.grid(g)).toArray.flatten).toSeq == expected)
+    assert(TimeIndex.grid(Array.emptyLongArray).isEmpty)
+  }
 }
