@@ -46,6 +46,7 @@ final case class CompEdge(component: String, src: String, dst: String)
   *    numbered in component order and dealt round-robin to
   *    min(defaultParallelism, units) tasks. One large component is thus
   *    searched on every core, and many small ones share a few tasks.
+  *    Each task emits its CAPs in export order ([[CapTable]]).
   */
 object Miscela {
 
@@ -200,11 +201,12 @@ object Miscela {
       .parallelize(0 until k, k)
       .flatMap { j =>
         // Task j searches the units whose ordinal is j modulo k, and builds
-        // only the components it holds a root of.
-        searched.iterator.zip(first.iterator).flatMap { case ((sensors, edges), f) =>
+        // only the components it holds a root of. It emits its CAPs in
+        // export order, so the driver's sort only merges the k runs.
+        CapTable.sorted(searched.iterator.zip(first.iterator).flatMap { case ((sensors, edges), f) =>
           if (Math.floorMod(j - f, k) >= sensors.length) Nil
           else searchAssembled(sensors, edges, nT, params, useNaive, r => (f + r) % k == j)
-        }
+        }.toIndexedSeq)
       }
       .toDS()
   }

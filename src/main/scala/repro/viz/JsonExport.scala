@@ -1,15 +1,14 @@
 package repro.viz
 
-import java.nio.charset.StandardCharsets
 import java.nio.file.{Files, Path, Paths}
 
-import scala.collection.mutable
+import scala.collection.Searching.Found
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.unsafe.types.UTF8String
 
-import repro.core.Cap
+import repro.core.{Cap, CapTable}
 
 /** The Spark-side boundary of MISCELA-V's visualization (Section 3):
   * CAP results, sensor locations, and time series are serialized to JSON
@@ -24,18 +23,20 @@ import repro.core.Cap
   *  - [[seriesJson]] — the measurement series of one CAP's sensors for the
   *    temporal chart (Figure 3 C/D).
   *
-  * [[writeAll]] takes the CAPs as a plain driver-side sequence and does
-  * each piece of work once: it sorts the CAPs one time and shares that
-  * order between the CAP ids, the GeoJSON back-references and the top-3
-  * pick, and it fetches the series of all three top CAPs with one Spark
-  * job.
+  * The CAPs are taken as a [[CapTable]], which is already in export order
+  * (any other `Seq[Cap]` is sorted into one first). The CAP list and the
+  * GeoJSON are written straight from its columns to bytes: each name is
+  * quoted once, and ids and supports are written from its int and long
+  * arrays. [[writeAll]] shares the table between the CAP ids, the GeoJSON
+  * back-references and the top-3 pick, and it fetches the series of all
+  * three top CAPs with one Spark job.
   */
 object JsonExport {
 
-  /** CAP list payload. CAP ids are their position in the (deterministic)
-    * sorted order.
+  /** CAP list payload. CAP ids are their position in export order (see
+    * [[CapTable]]).
     */
-  def capsJson(caps: Seq[Cap]): JValue = capsJsonOf(sortedCaps(caps))
+  def capsJson(caps: Seq[Cap]): JValue = rendered(writeCaps(_, CapTable(caps)))
 
   /** GeoJSON FeatureCollection of all sensors; each feature lists the CAP
     * ids (per [[capsJson]] numbering) containing that sensor so the front
@@ -43,7 +44,7 @@ object JsonExport {
     * gets a null geometry (RFC 7946 §3.2).
     */
   def sensorsGeoJson(locations: DataFrame, caps: Seq[Cap]): JValue =
-    sensorsGeoJsonOf(locations, sortedCaps(caps))
+    rendered(writeSensors(_, locations, CapTable(caps)))
 
   /** Time-series payload for one CAP: per sensor, the (time, value) pairs
     * (nulls preserved — the chart shows gaps).
@@ -51,37 +52,73 @@ object JsonExport {
   def seriesJson(data: DataFrame, cap: Cap): JValue = seriesJsons(data, Seq(cap)).head
 
   /** Writes the three payloads of a mining run's CAPs under `dir`; series
-    * is emitted for the top 3 CAPs by support. Returns the paths written.
+    * is emitted for the top 3 CAPs by support, and a series file that an
+    * earlier run with more top CAPs left in `dir` is deleted. Returns the
+    * paths written.
     */
   def writeAll(dir: String, caps: Seq[Cap], locations: DataFrame, data: DataFrame): Seq[String] = {
     val base = Paths.get(dir)
     Files.createDirectories(base)
-    val sorted = sortedCaps(caps)
+    val table = CapTable(caps)
     val written = Seq(
-      write(base.resolve("caps.json"), capsJsonOf(sorted)),
-      write(base.resolve("sensors.geojson"), sensorsGeoJsonOf(locations, sorted)),
+      write(base.resolve("caps.json"))(writeCaps(_, table)),
+      write(base.resolve("sensors.geojson"))(writeSensors(_, locations, table)),
     )
-    val tops = seriesJsons(data, topBySupport(sorted, 3)).zipWithIndex.map { case (v, i) =>
-      write(base.resolve(s"series-$i.json"), v)
+    val tops = seriesJsons(data, topBySupport(table.support, TopSeries).map(table(_))).zipWithIndex.map {
+      case (v, i) => write(base.resolve(s"series-$i.json"))(Json.write(v, _))
     }
+    (tops.length until TopSeries).foreach(i => Files.deleteIfExists(base.resolve(s"series-$i.json")))
     written ++ tops
   }
 
-  private def capsJsonOf(sorted: IndexedSeq[Cap]): JValue =
-    JArr(sorted.zipWithIndex.map { case (c, i) =>
-      Json.obj(
-        "capId" -> JNum(i.toDouble),
-        "attributes" -> JArr(c.attributes.map(JStr(_))),
-        "sensors" -> JArr(c.sensors.map(JStr(_))),
-        "support" -> JNum(c.support.toDouble),
-      )
+  private val TopSeries = 3
+
+  /** `[{"capId":i,"attributes":[…],"sensors":[…],"support":s},…]`, the
+    * bytes a tree of `JObj`s would render to.
+    */
+  private def writeCaps(out: JsonOut, caps: CapTable): Unit = {
+    val quoted = caps.names.map(Json.quoted)
+    def names(from: Int, until: Int): Unit = {
+      out.byte('[')
+      var k = from
+      while (k < until) {
+        if (k > from) out.byte(',')
+        out.bytes(quoted(caps.members(k)))
+        k += 1
+      }
+      out.byte(']')
+    }
+    out.byte('[')
+    var i = 0
+    while (i < caps.length) {
+      if (i > 0) out.byte(',')
+      out.ascii("{\"capId\":").long(i).ascii(",\"attributes\":")
+      names(caps.bounds(2 * i), caps.bounds(2 * i + 1))
+      out.ascii(",\"sensors\":")
+      names(caps.bounds(2 * i + 1), caps.bounds(2 * i + 2))
+      out.ascii(",\"support\":").num(caps.support(i).toDouble).byte('}')
+      i += 1
+    }
+    out.byte(']')
+  }
+
+  /** The GeoJSON FeatureCollection, features in id order, each feature's
+    * `caps` read off the table's sensor columns.
+    */
+  private def writeSensors(out: JsonOut, locations: DataFrame, caps: CapTable): Unit = {
+    // The ids of the CAPs holding name m as a sensor, ascending, are
+    // capIds(first(m) until first(m + 1)).
+    val first = new Array[Int](caps.names.length + 1)
+    def sensorsOf(i: Int): Range = caps.bounds(2 * i + 1) until caps.bounds(2 * i + 2)
+    caps.indices.foreach(i => sensorsOf(i).foreach(k => first(caps.members(k) + 1) += 1))
+    (1 until first.length).foreach(m => first(m) += first(m - 1))
+    val capIds = new Array[Int](first.last)
+    val next = first.clone()
+    caps.indices.foreach(i => sensorsOf(i).foreach { k =>
+      capIds(next(caps.members(k))) = i
+      next(caps.members(k)) += 1
     })
 
-  private def sensorsGeoJsonOf(locations: DataFrame, sorted: IndexedSeq[Cap]): JValue = {
-    val capIds = mutable.HashMap.empty[String, mutable.ArrayBuffer[JValue]]
-    sorted.indices.foreach { i =>
-      sorted(i).sensors.foreach(s => capIds.getOrElseUpdate(s, mutable.ArrayBuffer.empty) += JNum(i.toDouble))
-    }
     val rows = locations
       .select(col("id").cast("string"), col("attribute").cast("string"),
         col("lat").cast("double"), col("lon").cast("double"))
@@ -89,25 +126,28 @@ object JsonExport {
     // Ids in Spark's string order: by UTF-8 bytes, i.e. by code point.
     val inIdOrder = rows.map(r => (UTF8String.fromString(r.getString(0)), r))
       .sortWith((a, b) => a._1.compareTo(b._1) < 0)
-    val features = inIdOrder.toIndexedSeq.map { case (_, r) =>
+    out.ascii("{\"type\":\"FeatureCollection\",\"features\":[")
+    inIdOrder.indices.foreach { f =>
+      val r = inIdOrder(f)._2
       val id = r.getString(0)
-      Json.obj(
-        "type" -> JStr("Feature"),
-        "geometry" ->
-          (if (r.isNullAt(2) || r.isNullAt(3)) JNull
-           else Json.obj(
-             "type" -> JStr("Point"),
-             // GeoJSON is (lon, lat)
-             "coordinates" -> Json.arr(JNum(r.getDouble(3)), JNum(r.getDouble(2))),
-           )),
-        "properties" -> Json.obj(
-          "id" -> JStr(id),
-          "attribute" -> JStr(r.getString(1)),
-          "caps" -> JArr(capIds.get(id).fold(Seq.empty[JValue])(_.toSeq)),
-        ),
-      )
+      if (f > 0) out.byte(',')
+      out.ascii("{\"type\":\"Feature\",\"geometry\":")
+      // GeoJSON is (lon, lat)
+      if (r.isNullAt(2) || r.isNullAt(3)) out.ascii("null")
+      else out.ascii("{\"type\":\"Point\",\"coordinates\":[").num(r.getDouble(3)).byte(',').num(r.getDouble(2)).ascii("]}")
+      out.ascii(",\"properties\":{\"id\":").str(id).ascii(",\"attribute\":").str(r.getString(1))
+      out.ascii(",\"caps\":[")
+      caps.names.search(id) match {
+        case Found(m) =>
+          (first(m) until first(m + 1)).foreach { k =>
+            if (k > first(m)) out.byte(',')
+            out.long(capIds(k))
+          }
+        case _ =>
+      }
+      out.ascii("]}}")
     }
-    Json.obj("type" -> JStr("FeatureCollection"), "features" -> JArr(features))
+    out.ascii("]}")
   }
 
   /** The series payloads of `caps`, in order, from one Spark job over the
@@ -136,28 +176,29 @@ object JsonExport {
       }
     }
 
-  /** CAPs in export order: by attribute list, then sensor list (each joined
-    * with ","), then support. Each key is built once per CAP, not once per
-    * comparison.
-    */
-  private def sortedCaps(caps: Seq[Cap]): IndexedSeq[Cap] =
-    caps.map(c => ((c.attributes.mkString(","), c.sensors.mkString(","), c.support), c))
-      .sortBy(_._1).map(_._2).toIndexedSeq
-
-  /** The `k` CAPs of highest support, earlier in `sorted` first among
+  /** The indices of the `k` CAPs of highest support, earlier first among
     * equal supports (what a stable sort by descending support would pick).
     */
-  private def topBySupport(sorted: IndexedSeq[Cap], k: Int): Seq[Cap] =
-    sorted.foldLeft(Vector.empty[Cap]) { (top, c) =>
-      if (top.size == k && top.last.support >= c.support) top
+  private def topBySupport(support: Array[Long], k: Int): Seq[Int] =
+    support.indices.foldLeft(Vector.empty[Int]) { (top, i) =>
+      if (top.size == k && support(top.last) >= support(i)) top
       else {
-        val (ahead, behind) = top.span(_.support >= c.support)
-        ((ahead :+ c) ++ behind).take(k)
+        val (ahead, behind) = top.span(support(_) >= support(i))
+        ((ahead :+ i) ++ behind).take(k)
       }
     }
 
-  private def write(path: Path, v: JValue): String = {
-    Files.write(path, v.render.getBytes(StandardCharsets.UTF_8))
+  /** A payload as a pre-rendered [[JValue]]. */
+  private def rendered(body: JsonOut => Unit): JValue = {
+    val out = new JsonOut
+    body(out)
+    JRaw(out.text)
+  }
+
+  private def write(path: Path)(body: JsonOut => Unit): String = {
+    val out = new JsonOut
+    body(out)
+    out.writeTo(path)
     path.toString
   }
 }

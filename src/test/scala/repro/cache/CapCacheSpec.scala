@@ -1,5 +1,8 @@
 package repro.cache
 
+import java.io.{ByteArrayOutputStream, DataOutputStream}
+import java.nio.ByteBuffer
+import java.nio.charset.StandardCharsets.UTF_8
 import java.nio.file.{Files, Paths}
 
 import scala.concurrent.{Await, Future}
@@ -7,7 +10,35 @@ import scala.concurrent.ExecutionContext.Implicits.global
 import scala.concurrent.duration._
 
 import repro.SparkSpec
-import repro.core.{Cap, CapParams}
+import repro.core.{Cap, CapParams, CapTableSpec, JoinedOrder, TinyWorld}
+import repro.viz.JsonExport
+
+/** Entries as they were written before the CAP table: the key material
+  * without a layout tag, then each CAP's attributes, sensors and support,
+  * every string length-prefixed.
+  */
+private object OldLayout {
+  def entry(dataset: String, params: CapParams, caps: Seq[Cap]): Array[Byte] = {
+    val bytes = new ByteArrayOutputStream()
+    val out = new DataOutputStream(bytes)
+    def strings(ss: Seq[String]): Unit = {
+      out.writeInt(ss.size)
+      ss.foreach { s =>
+        val b = s.getBytes(UTF_8)
+        out.writeInt(b.length)
+        out.write(b)
+      }
+    }
+    strings(Seq(s"$dataset|${params.cacheKey}"))
+    out.writeInt(caps.length)
+    caps.foreach { c =>
+      strings(c.attributes)
+      strings(c.sensors)
+      out.writeLong(c.support)
+    }
+    bytes.toByteArray
+  }
+}
 
 class CapCacheSpec extends SparkSpec {
 
@@ -167,5 +198,53 @@ class CapCacheSpec extends SparkSpec {
     val (caps, hit) = cache.getOrCompute(spark, "x", p)(someCaps(7).map { c => evaluated.add(1); c })
     assert(!hit && caps.size == 7)
     assert(evaluated.value == 7)
+  }
+
+  test("an empty, cut-off, old-layout or garbled entry file is a miss, and the next put replaces it") {
+    val (cache, dir) = newCache()
+    cache.put("x", p, someCaps(40))
+    val entry = Paths.get(entries(dir).head)
+    val whole = Files.readAllBytes(entry)
+    // The name count, which follows the length-prefixed key material, set
+    // to more names than the file could hold.
+    val garbled = whole.clone()
+    ByteBuffer.wrap(garbled).putInt(4 + ByteBuffer.wrap(whole).getInt(0), Int.MaxValue)
+    Seq(
+      "empty" -> Array.emptyByteArray,
+      "cut to half its length" -> whole.take(whole.length / 2),
+      "old layout" -> OldLayout.entry("x", p, someCaps(40).collect().toSeq),
+      "garbled name count" -> garbled,
+    ).foreach { case (what, bytes) =>
+      Files.write(entry, bytes)
+      assert(!cache.contains("x", p), what)
+      assert(cache.get(spark, "x", p).isEmpty, what)
+      val (served, hit) = cache.getOrCompute(spark, "x", p)(someCaps(3))
+      assert(!hit && served.size == 3, what)
+      assert(cache.get(spark, "x", p).get.count() == 3, what)
+      assert(entries(dir) == Seq(entry.toString), what)
+      cache.put("x", p, someCaps(40))
+    }
+  }
+
+  test("a miss and a hit both serve the CAPs in export order, and the same payload bytes") {
+    import spark.implicits._
+    val (cache, _) = newCache()
+    val caps = CapTableSpec.randomCaps(new scala.util.Random(3), 400, CapTableSpec.trickyNames)
+    val (missed, missHit) = cache.getOrCompute(spark, "x", p)(caps.toDS().repartition(4))
+    val (served, hit) = cache.getOrCompute(spark, "x", p)(caps.toDS())
+    assert(!missHit && hit)
+    assert(JoinedOrder.holds(missed, caps))
+    assert(served.toSeq == missed.toSeq)
+
+    val locs = TinyWorld.locDf(spark, CapTableSpec.trickyNames.map(id => (id, "light", 43.46, -3.80)))
+    val data = TinyWorld.dataDf(spark, Map(("s1", "light") -> Seq(Some(1.0), None, Some(3.0))))
+    def payloads(caps: Seq[Cap]): Map[String, Seq[Byte]] = {
+      val dir = Files.createTempDirectory("capcache-payloads")
+      JsonExport.writeAll(dir.toString, caps, locs, data)
+        .map(f => Paths.get(f).getFileName.toString -> Files.readAllBytes(Paths.get(f)).toSeq).toMap
+    }
+    val fromMiss = payloads(missed)
+    assert(fromMiss.size == 5)
+    assert(payloads(served) == fromMiss)
   }
 }

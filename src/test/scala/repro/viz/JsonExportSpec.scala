@@ -1,14 +1,117 @@
 package repro.viz
 
-import java.nio.file.{Files, Paths}
+import java.nio.charset.StandardCharsets.UTF_8
+import java.nio.file.{Files, Path, Paths}
 import java.security.MessageDigest
 
+import scala.collection.mutable
+import scala.util.Random
+
 import com.fasterxml.jackson.databind.ObjectMapper
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
+import org.apache.spark.unsafe.types.UTF8String
 
 import repro.SparkSpec
-import repro.core.{Cap, CapParams, Miscela}
+import repro.core.{Cap, CapParams, CapTable, CapTableSpec, Miscela}
 import repro.core.TinyWorld
 import repro.data.SmartCityData
+
+/** The CAP list and GeoJSON writers as they were before the CAP table:
+  * `JValue` trees over the CAPs sorted by their joined lists, rendered by
+  * one `StringBuilder` walk and encoded as UTF-8. Kept as the oracle of the
+  * byte writers.
+  */
+private object TreeExport {
+
+  def capsJson(caps: Seq[Cap]): Array[Byte] = bytes(JArr(sorted(caps).zipWithIndex.map { case (c, i) =>
+    Json.obj(
+      "capId" -> JNum(i.toDouble),
+      "attributes" -> JArr(c.attributes.map(JStr(_))),
+      "sensors" -> JArr(c.sensors.map(JStr(_))),
+      "support" -> JNum(c.support.toDouble),
+    )
+  }))
+
+  def sensorsGeoJson(locations: DataFrame, caps: Seq[Cap]): Array[Byte] = {
+    val ordered = sorted(caps)
+    val capIds = mutable.HashMap.empty[String, mutable.ArrayBuffer[JValue]]
+    ordered.indices.foreach { i =>
+      ordered(i).sensors.foreach(s => capIds.getOrElseUpdate(s, mutable.ArrayBuffer.empty) += JNum(i.toDouble))
+    }
+    val rows = locations
+      .select(col("id").cast("string"), col("attribute").cast("string"),
+        col("lat").cast("double"), col("lon").cast("double"))
+      .collect()
+    val inIdOrder = rows.map(r => (UTF8String.fromString(r.getString(0)), r))
+      .sortWith((a, b) => a._1.compareTo(b._1) < 0)
+    val features = inIdOrder.toIndexedSeq.map { case (_, r) =>
+      val id = r.getString(0)
+      Json.obj(
+        "type" -> JStr("Feature"),
+        "geometry" ->
+          (if (r.isNullAt(2) || r.isNullAt(3)) JNull
+           else Json.obj("type" -> JStr("Point"), "coordinates" -> Json.arr(JNum(r.getDouble(3)), JNum(r.getDouble(2))))),
+        "properties" -> Json.obj(
+          "id" -> JStr(id),
+          "attribute" -> JStr(r.getString(1)),
+          "caps" -> JArr(capIds.get(id).fold(Seq.empty[JValue])(_.toSeq)),
+        ),
+      )
+    }
+    bytes(Json.obj("type" -> JStr("FeatureCollection"), "features" -> JArr(features)))
+  }
+
+  private def sorted(caps: Seq[Cap]): IndexedSeq[Cap] =
+    caps.map(c => ((c.attributes.mkString(","), c.sensors.mkString(","), c.support), c))
+      .sortBy(_._1).map(_._2).toIndexedSeq
+
+  private def bytes(v: JValue): Array[Byte] = {
+    val out = new java.lang.StringBuilder
+    append(v, out)
+    out.toString.getBytes(UTF_8)
+  }
+
+  private def append(v: JValue, out: java.lang.StringBuilder): Unit = v match {
+    case JNull    => out.append("null")
+    case JBool(b) => out.append(b)
+    case JNum(x)  =>
+      if (x.isNaN || x.isInfinite) out.append("null")
+      else if (x == math.floor(x) && math.abs(x) < 1e15) out.append(x.toLong)
+      else out.append(java.lang.Double.toString(x))
+    case JStr(s)  => appendQuoted(s, out)
+    case JArr(xs) =>
+      out.append('[')
+      xs.zipWithIndex.foreach { case (x, i) => if (i > 0) out.append(','); append(x, out) }
+      out.append(']')
+    case JObj(fields) =>
+      out.append('{')
+      fields.zipWithIndex.foreach { case ((k, x), i) =>
+        if (i > 0) out.append(',')
+        appendQuoted(k, out)
+        out.append(':')
+        append(x, out)
+      }
+      out.append('}')
+    case JRaw(_) => sys.error("the tree writer builds no pre-rendered nodes")
+  }
+
+  private def appendQuoted(s: String, out: java.lang.StringBuilder): Unit = {
+    out.append('"')
+    s.foreach {
+      case '"'          => out.append("\\\"")
+      case '\\'         => out.append("\\\\")
+      case '\b'         => out.append("\\b")
+      case '\f'         => out.append("\\f")
+      case '\n'         => out.append("\\n")
+      case '\r'         => out.append("\\r")
+      case '\t'         => out.append("\\t")
+      case c if c < ' ' => out.append(f"\\u${c.toInt}%04x")
+      case c            => out.append(c)
+    }
+    out.append('"')
+  }
+}
 
 class JsonExportSpec extends SparkSpec {
 
@@ -189,5 +292,78 @@ class JsonExportSpec extends SparkSpec {
       assert(new String(Files.readAllBytes(dir.resolve(s"series-$i.json")), "UTF-8") ==
         JsonExport.seriesJson(data, c).render)
     }
+  }
+
+  /** `n` random CAPs over sensor ids that stress the export order, and a
+    * location for every name they use and some they do not: some with a
+    * null coordinate, some with integral coordinates.
+    */
+  private def randomRequest(rnd: Random, n: Int): (Seq[Cap], DataFrame) = {
+    import spark.implicits._
+    val caps = CapTableSpec.randomCaps(rnd, n, CapTableSpec.trickyNames)
+    val ids = CapTableSpec.trickyNames ++ Seq("unused", "z\"q\\\n")
+    def coordinate(scale: Double): Option[Double] = rnd.nextInt(6) match {
+      case 0 => None
+      case 1 => Some(math.rint(rnd.nextDouble() * scale))
+      case _ => Some((rnd.nextDouble() * 2 - 1) * scale)
+    }
+    val locs = rnd.shuffle(ids).map(id => (id, s"attr-${rnd.nextInt(3)}", coordinate(90), coordinate(180)))
+      .toDF("id", "attribute", "lat", "lon")
+    (caps, locs)
+  }
+
+  private def payloads(dir: Path): Map[String, Seq[Byte]] = {
+    val list = Files.list(dir)
+    try list.toArray.toSeq.map(_.asInstanceOf[Path])
+      .map(p => p.getFileName.toString -> Files.readAllBytes(p).toSeq).toMap
+    finally list.close()
+  }
+
+  test("property: caps.json and sensors.geojson are the bytes the tree writer renders") {
+    val data = TinyWorld.dataDf(spark, Map(("s1", "PM2.5") -> Seq(Some(1.0), None, Some(2.5))))
+    val rnd = new Random(21)
+    Seq(0, 1, 2, 40, 700, 2000).foreach { n =>
+      val (caps, locs) = randomRequest(rnd, n)
+      // Distinct CAPs whose lists join to the same strings keep their input
+      // order in the tree writer's sort, so it gets them in table order.
+      val inTableOrder = CapTable(rnd.shuffle(caps)).toSeq
+      val (wantCaps, wantGeo) =
+        (TreeExport.capsJson(inTableOrder).toSeq, TreeExport.sensorsGeoJson(locs, inTableOrder).toSeq)
+      val dir = Files.createTempDirectory("viz-bytes")
+      JsonExport.writeAll(dir.toString, caps, locs, data)
+      val got = payloads(dir)
+      assert(got("caps.json") == wantCaps, s"$n CAPs")
+      assert(got("sensors.geojson") == wantGeo, s"$n CAPs")
+      assert(JsonExport.capsJson(caps).render.getBytes(UTF_8).toSeq == wantCaps)
+      assert(JsonExport.sensorsGeoJson(locs, caps).render.getBytes(UTF_8).toSeq == wantGeo)
+    }
+  }
+
+  test("a CAP list that arrives unsorted exports the same bytes") {
+    val data = TinyWorld.dataDf(spark, Map(
+      ("s1", "PM2.5") -> Seq(Some(1.0), None, Some(2.5)),
+      ("a", "NO2") -> Seq(Some(4.0), Some(5.0), None),
+    ))
+    val rnd = new Random(5)
+    val (caps, locs) = randomRequest(rnd, 500)
+    val Seq(sorted, shuffled) = Seq(caps.sortBy(_.toString), rnd.shuffle(caps)).map { list =>
+      val dir = Files.createTempDirectory("viz-unsorted")
+      JsonExport.writeAll(dir.toString, list, locs, data)
+      payloads(dir)
+    }
+    assert(sorted.keySet == Set("caps.json", "sensors.geojson", "series-0.json", "series-1.json", "series-2.json"))
+    assert(shuffled == sorted)
+  }
+
+  test("writeAll deletes the series files of an earlier run with more top CAPs") {
+    val data = TinyWorld.dataDf(spark, Map(("a", "temperature") -> Seq(Some(1.0), Some(2.0))))
+    val locs = TinyWorld.locDf(spark, Seq(("a", "temperature", 43.46, -3.80)))
+    val dir = Files.createTempDirectory("viz-stale")
+    val three = caps :+ Cap(Seq("light"), Seq("c"), 1)
+    JsonExport.writeAll(dir.toString, three, locs, data)
+    assert(payloads(dir).keySet.count(_.startsWith("series-")) == 3)
+    val written = JsonExport.writeAll(dir.toString, Seq(caps.head), locs, data)
+    assert(payloads(dir).keySet == Set("caps.json", "sensors.geojson", "series-0.json"))
+    assert(written.map(Paths.get(_).getFileName.toString) == Seq("caps.json", "sensors.geojson", "series-0.json"))
   }
 }

@@ -65,6 +65,11 @@ class JsonSpec extends AnyFunSuite {
     assert(mapper.readTree(JArr(Nil).render).isArray)
   }
 
+  test("a pre-rendered node renders as is, also inside a tree") {
+    assert(JRaw("[1,\"\u00e9\"]").render == "[1,\"\u00e9\"]")
+    assert(Json.arr(JRaw("{\"a\":1}"), JNum(2)).render == "[{\"a\":1},2]")
+  }
+
   test("large integers keep integer form below 1e15") {
     assert(JNum(52261.0).render == "52261")
     assert(JNum(2329936.0).render == "2329936")
@@ -82,6 +87,7 @@ class JsonSpec extends AnyFunSuite {
     case JStr(s)      => oracleQuote(s)
     case JArr(xs)     => xs.map(oracle).mkString("[", ",", "]")
     case JObj(fields) => fields.map { case (k, x) => s"${oracleQuote(k)}:${oracle(x)}" }.mkString("{", ",", "}")
+    case JRaw(json)   => json
   }
 
   private def oracleQuote(s: String): String = {
@@ -109,6 +115,7 @@ class JsonSpec extends AnyFunSuite {
     case JArr(xs) => n.isArray && n.size == xs.size && xs.indices.forall(i => same(xs(i), n.get(i)))
     case JObj(fs) =>
       n.isObject && n.fieldNames.asScala.toSeq == fs.map(_._1) && fs.forall { case (k, x) => same(x, n.get(k)) }
+    case JRaw(json) => mapper.readTree(json) == n
   }
 
   private val text: Gen[String] = Gen.listOf(Gen.frequency(
