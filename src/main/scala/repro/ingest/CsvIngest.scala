@@ -1,27 +1,34 @@
 package repro.ingest
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{Row, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.data.SmartCityDataset
 
 /** Reads the paper's upload format (Section 3.2): `data.csv`,
-  * `location.csv`, `attribute.csv` under one directory, validating the
-  * cross-file invariants the MISCELA-V back end relies on:
+  * `location.csv`, `attribute.csv` under one directory. With `validate`, it
+  * rejects an upload that breaks an invariant the MISCELA-V back end relies
+  * on, checked (and raised) in this order:
   *
-  *  - every (id, attribute) of `data.csv` is registered in `location.csv`,
-  *    which lists each id once (a sensor measures one attribute);
-  *  - every attribute is listed in `attribute.csv`;
-  *  - timestamps lie on one synchronized grid (equal intervals), as the
-  *    paper requires ("timestamps must be the same time intervals");
-  *  - every reading is finite or null: NaN and ±Infinity are rejected;
-  *  - each (id, time) is listed once in `data.csv`;
-  *  - every `location.csv` row has an id and an attribute;
-  *  - every coordinate is null or a number on the globe: lat in [−90, 90],
-  *    lon in [−180, 180].
+  *  1. every attribute of `data.csv` is listed in `attribute.csv`;
+  *  1. every (id, attribute) of `data.csv` is registered in `location.csv`;
+  *  1. every `location.csv` row has an id and an attribute;
+  *  1. every coordinate is null or a number on the globe: lat in [−90, 90],
+  *     lon in [−180, 180];
+  *  1. `location.csv` lists each id once (a sensor measures one attribute);
+  *  1. every timestamp parses;
+  *  1. every reading is a finite number or null: NaN, ±Infinity and text
+  *     that is no number are rejected;
+  *  1. each (id, time) is listed once in `data.csv`;
+  *  1. timestamps lie on one synchronized grid (equal intervals, to the
+  *     microsecond), as the paper requires ("timestamps must be the same
+  *     time intervals").
   *
-  * `data`, `lat` and `lon` values equal to the literal string "null" (or
-  * empty) become SQL nulls.
+  * `location.csv` is the sensor registry, one row per sensor, so it is
+  * collected and checked on the driver. `data.csv` is read twice: one
+  * aggregate counts every other fault, and the distinct timestamps come
+  * back for the grid check. `data`, `lat` and `lon` values equal to the
+  * literal string "null" (or empty) become SQL nulls.
   */
 object CsvIngest {
 
@@ -37,92 +44,85 @@ object CsvIngest {
       validate: Boolean = true,
   ): SmartCityDataset = {
     import spark.implicits._
-    val rawData = spark.read
-      .option("header", "true")
-      .csv(dataCsv)
-      .select(
-        col("id"),
-        col("attribute"),
-        // try_to_timestamp: unparseable timestamps become null (then fail
-        // validation) instead of throwing mid-scan under ANSI mode.
-        expr("try_to_timestamp(time)").as("time"),
-        when(lower(col("data")) === "null" || col("data").isNull, lit(null))
-          .otherwise(col("data")).cast("double").as("data"),
-      )
-    // A coordinate spelled "null" or left empty has no text; text that is
-    // no number parses to null instead of failing the scan under ANSI mode,
+    // A value spelled "null" or left empty has no text; text that is no
+    // number parses to null instead of failing the scan under ANSI mode,
     // and validation counts it.
     def text(c: String) = when(lower(col(c)) =!= "null", col(c))
     def number(c: String) = text(c).try_cast("double")
+    def unparseable(c: String) = text(c).isNotNull && number(c).isNull
+    // try_to_timestamp: unparseable timestamps become null (then fail
+    // validation) instead of throwing mid-scan under ANSI mode.
+    val (time, reading) = (expr("try_to_timestamp(time)"), number("data"))
+    val csv = spark.read.option("header", "true").csv(dataCsv)
+    val rawData = csv.select(col("id"), col("attribute"), time.as("time"), reading.as("data"))
     val rawLocations = spark.read.option("header", "true").csv(locationCsv)
     val locations = rawLocations.select(col("id"), col("attribute"), number("lat").as("lat"), number("lon").as("lon"))
-    val attributes = spark.read
-      .schema("attribute STRING")
-      .csv(attributeCsv)
-      .collect()
-      .map(_.getString(0))
-      .toSeq
+    val attributes = spark.read.schema("attribute STRING").csv(attributeCsv).collect().map(_.getString(0)).toSeq
 
     if (validate) {
-      val unknownAttr = rawData
-        .select("attribute").distinct()
-        .join(attributes.toDF("attribute"), Seq("attribute"), "left_anti")
-        .count()
-      if (unknownAttr > 0)
-        throw ValidationError(s"$unknownAttr attribute(s) in data.csv missing from attribute.csv")
+      val registry = rawLocations
+        .select(col("id"), col("attribute"), number("lat"), number("lon"), unparseable("lat") || unparseable("lon"))
+        .collect()
 
-      val unknownSensor = rawData
-        .select("id", "attribute").distinct()
-        .join(locations.select("id", "attribute"), Seq("id", "attribute"), "left_anti")
-        .count()
-      if (unknownSensor > 0)
-        throw ValidationError(s"$unknownSensor sensor(s) in data.csv missing from location.csv")
-
-      // NaN sorts above every number in Spark SQL, so NaN and ±Infinity
-      // fall outside both ranges; a null coordinate is no range violation
-      // (that sensor simply has no place in the η-graph). Mining compares
-      // and groups sensors by id, so a row without an id or attribute, or
-      // an id listed twice (which would merge two series), is rejected.
-      val onGlobe = number("lat").between(-90, 90) && number("lon").between(-180, 180)
-      def unparseable(c: String) = text(c).isNotNull && number(c).isNull
-      val loc = rawLocations
+      // One pass over data.csv: counts per (id, attribute, time), then per
+      // (id, attribute), joined to the listed attributes and the registered
+      // pairs; a null key matches neither, and `struct` keeps a null
+      // attribute as one value. A non-finite reading breaks the evolving
+      // test (|v(t) − v(t−1)| > ε); two readings at one (id, time) leave
+      // segmentation a zero-length step. Repeats are counted per pair, which
+      // equals per id once the checks before theirs have passed.
+      val listed = attributes.distinct.map((_, true)).toDF("attribute", "listed")
+      val registered = registry.map(r => (r.getString(0), r.getString(1), true)).distinct.toSeq
+        .toDF("id", "attribute", "registered")
+      def total(c: String) = coalesce(sum(c), lit(0L))
+      val counts = csv
+        .groupBy(col("id"), col("attribute"), time.as("time"))
         .agg(
-          count(when(!onGlobe || unparseable("lat") || unparseable("lon"), 1)),
-          count(when(col("id").isNull || col("attribute").isNull, 1)),
-          count(col("id")) - countDistinct(col("id")),
+          count(lit(1)).as("n"),
+          count(when(unparseable("data") || isnan(reading) || abs(reading) === Double.PositiveInfinity, 1)).as("bad"),
+        )
+        .groupBy("id", "attribute")
+        .agg(
+          sum(when(col("time").isNull, col("n"))).as("badTime"),
+          sum("bad").as("badData"),
+          sum(when(col("time").isNotNull, col("n") - 1)).as("repeated"),
+        )
+        .join(broadcast(listed), Seq("attribute"), "left")
+        .join(broadcast(registered), Seq("id", "attribute"), "left")
+        .agg(
+          size(collect_set(when(col("listed").isNull, struct(col("attribute"))))).cast("long"),
+          count(when(col("registered").isNull, 1)),
+          total("badTime"), total("badData"), total("repeated"),
         )
         .collect()(0)
-      val (badCoord, unnamed, duplicates) = (loc.getLong(0), loc.getLong(1), loc.getLong(2))
-      if (unnamed > 0) throw ValidationError(s"$unnamed location(s) without a sensor id or attribute")
-      if (badCoord > 0)
-        throw ValidationError(s"$badCoord location(s) with an unparseable or impossible coordinate " +
-          "(not a number, NaN, ±Infinity, lat outside [-90, 90] or lon outside [-180, 180])")
-      if (duplicates > 0) throw ValidationError(s"$duplicates location(s) repeat the sensor id of another")
+      val Seq(unknownAttr, unknownSensor, badTime, nonFinite, repeated) = (0 until 5).map(counts.getLong)
 
-      // NaN compares above every number in Spark SQL and breaks the
-      // evolving test (|v(t) − v(t−1)| > ε), and two readings at one
-      // (id, time) leave segmentation a zero-length step, so non-finite
-      // readings and repeated (id, time) pairs are rejected along with
-      // unparseable timestamps, in one scan.
-      val bad = rawData
-        .agg(
-          count(when(col("time").isNull, 1)),
-          count(when(isnan(col("data")) || abs(col("data")) === Double.PositiveInfinity, 1)),
-          count(lit(1)) - countDistinct(col("id"), col("time")),
-        )
-        .collect()(0)
-      val (badTime, nonFinite, repeated) = (bad.getLong(0), bad.getLong(1), bad.getLong(2))
-      if (badTime > 0)
-        throw ValidationError(s"$badTime record(s) with unparseable timestamps")
-      if (nonFinite > 0)
-        throw ValidationError(s"$nonFinite record(s) with a non-finite reading (NaN or ±Infinity)")
-      if (repeated > 0) throw ValidationError(s"$repeated record(s) repeat the (id, time) of another")
+      // location.csv is checked here. NaN and ±Infinity fall outside both
+      // ranges; a null coordinate is no violation (that sensor simply has
+      // no place in the η-graph). Mining compares and groups sensors by id,
+      // so a row without an id or attribute, or an id listed twice (which
+      // would merge two series), is rejected.
+      def offGlobe(r: Row, i: Int, bound: Double) = !r.isNullAt(i) && !(math.abs(r.getDouble(i)) <= bound)
+      val ids = registry.filterNot(_.isNullAt(0)).map(_.getString(0))
+      Seq[(Long, String)](
+        unknownAttr -> "attribute(s) in data.csv missing from attribute.csv",
+        unknownSensor -> "sensor(s) in data.csv missing from location.csv",
+        registry.count(r => r.isNullAt(0) || r.isNullAt(1)).toLong -> "location(s) without a sensor id or attribute",
+        registry.count(r => r.getBoolean(4) || offGlobe(r, 2, 90) || offGlobe(r, 3, 180)).toLong ->
+          ("location(s) with an unparseable or impossible coordinate " +
+            "(not a number, NaN, ±Infinity, lat outside [-90, 90] or lon outside [-180, 180])"),
+        (ids.length - ids.distinct.length).toLong -> "location(s) repeat the sensor id of another",
+        badTime -> "record(s) with unparseable timestamps",
+        nonFinite -> "record(s) with a non-finite reading (NaN or ±Infinity)",
+        repeated -> "record(s) repeat the (id, time) of another",
+      ).find(_._1 > 0).foreach { case (n, what) => throw ValidationError(s"$n $what") }
 
-      // One synchronized grid: distinct inter-timestamp gaps must be equal.
-      // There are at most thousands of timestamps, so they are sorted here.
+      // One synchronized grid: distinct inter-timestamp gaps must be equal,
+      // in the microseconds the mining grid uses. There are at most
+      // thousands of timestamps, so they are sorted here.
       val gaps = rawData
         .select(col("time")).distinct()
-        .select(unix_timestamp(col("time")))
+        .select(unix_micros(col("time")))
         .collect().map(_.getLong(0)).sorted
         .sliding(2).collect { case Array(a, b) => b - a }
         .toSet

@@ -1,11 +1,5 @@
 package repro.core
 
-import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
-import java.util.concurrent.atomic.AtomicInteger
-
-import scala.jdk.CollectionConverters._
-
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted, StageInfo}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{col, spark_partition_id}
 
@@ -269,23 +263,12 @@ class MiscelaSpec extends SparkSpec {
     val data = dataDf(spark, sites.map(s => (s._1, s._2) -> co).toMap)
     val locs = locDf(spark, sites)
     val sc = spark.sparkContext
-    val tasks = new AtomicInteger
-    val started = new CountDownLatch(1)
-    val listener = new SparkListener {
-      override def onJobStart(job: SparkListenerJobStart): Unit =
-        if (Option(job.properties).exists(_.getProperty("spark.jobGroup.id") == "stage-4")) {
-          tasks.addAndGet(job.stageInfos.map(_.numTasks).sum)
-          started.countDown()
-        }
-    }
     val search = Miscela.mine(spark, data, locs, edgeParams)
-    sc.addSparkListener(listener)
-    sc.setJobGroup("stage-4", "CAP search")
-    val caps = try search.collect().toSeq finally sc.clearJobGroup()
-    assert(started.await(30, TimeUnit.SECONDS), "the search job never started")
-    sc.removeSparkListener(listener)
-    assert(tasks.get >= 1 && tasks.get <= math.min(sc.defaultParallelism, 3),
-      s"${tasks.get} search tasks at defaultParallelism ${sc.defaultParallelism}")
+    val (caps, run) = observe("stage-4")(search.collect().toSeq)
+    assert(run.jobs.nonEmpty, "the search job never started")
+    val tasks = run.jobs.map(_.stageInfos.map(_.numTasks).sum).sum
+    assert(tasks >= 1 && tasks <= math.min(sc.defaultParallelism, 3),
+      s"$tasks search tasks at defaultParallelism ${sc.defaultParallelism}")
     assert(caps.nonEmpty && caps.forall(_.sensors.forall(_.startsWith("c"))))
     assert(canon(caps) == canon(mined(data, locs, edgeParams, useNaive = true)))
   }
@@ -299,37 +282,12 @@ class MiscelaSpec extends SparkSpec {
     val sites = (0 until math.max(8, k)).map(i => (f"s$i%02d", attrs(i % 3), 43.46 + i * 0.001, -3.8))
     val data = dataDf(spark, sites.map(s => (s._1, s._2) -> co).toMap)
     val locs = locDf(spark, sites)
+    val ((comps, _), run) = observe("stages-1-2")(Miscela.assembleComponents(spark, data, locs, edgeParams))
+    assert(comps.flatMap(_._1).length == sites.length)
     // A job's result stage is created after its parents, so it has the
     // job's highest stage id; every other stage submitted is a shuffle map.
-    val resultStages = new ConcurrentLinkedQueue[Int]
-    val stages = new ConcurrentLinkedQueue[StageInfo]
-    val drained = new CountDownLatch(1)
-    def group(p: java.util.Properties) = Option(p).map(_.getProperty("spark.jobGroup.id")).orNull
-    val listener = new SparkListener {
-      override def onJobStart(job: SparkListenerJobStart): Unit = group(job.properties) match {
-        case "stages-1-2" => resultStages.add(job.stageIds.max)
-        // Events reach a listener in order: once this job starts, every
-        // event of the jobs before it has been seen.
-        case "drain" => drained.countDown()
-        case _       =>
-      }
-      override def onStageSubmitted(stage: SparkListenerStageSubmitted): Unit =
-        if (group(stage.properties) == "stages-1-2") stages.add(stage.stageInfo)
-    }
-    sc.addSparkListener(listener)
-    try {
-      sc.setJobGroup("stages-1-2", "stages 1-3")
-      val (comps, _) = Miscela.assembleComponents(spark, data, locs, edgeParams)
-      assert(comps.flatMap(_._1).length == sites.length)
-      sc.setJobGroup("drain", "listener drain")
-      sc.parallelize(Seq(1), 1).count()
-      assert(drained.await(30, TimeUnit.SECONDS), "the drain job never started")
-    } finally {
-      sc.clearJobGroup()
-      sc.removeSparkListener(listener)
-    }
-    val submitted = stages.asScala.toSeq
-    val (results, shuffleMaps) = submitted.partition(s => resultStages.contains(s.stageId))
+    val resultStages = run.jobs.map(_.stageIds.max)
+    val (results, shuffleMaps) = run.stages.partition(s => resultStages.contains(s.stageId))
     val shuffleReads = results.filter(_.parentIds.nonEmpty)
     assert(resultStages.size <= 3, s"${resultStages.size} Spark jobs")
     assert(shuffleMaps.length == 1, s"shuffle map stages run: ${shuffleMaps.map(_.name)}")

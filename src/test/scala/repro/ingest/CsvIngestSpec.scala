@@ -186,6 +186,118 @@ class CsvIngestSpec extends SparkSpec {
     assert(err.getMessage.contains("1 record(s)") && err.getMessage.contains("(id, time)"))
   }
 
+  test("counts unknown attributes once each, an empty attribute among them") {
+    // sound and wind are unlisted, and the empty field is read as null,
+    // which matches no listed attribute. Every pair is registered.
+    val dir = tmpDir()
+    val (d, l, a) = writeFiles(dir,
+      Seq(header,
+        "00000,temperature,2016-03-01 00:00:00,1.0",
+        "00001,sound,2016-03-01 00:00:00,1.0",
+        "00001,sound,2016-03-01 01:00:00,2.0",
+        "00002,sound,2016-03-01 00:00:00,1.0",
+        "00003,wind,2016-03-01 00:00:00,1.0",
+        "00004,,2016-03-01 00:00:00,1.0"),
+      Seq(locHeader, "00000,temperature,43.0,-3.8", "00001,sound,43.0,-3.8", "00002,sound,43.0,-3.8",
+        "00003,wind,43.0,-3.8", "00004,,43.0,-3.8"),
+      Seq("temperature"))
+    val err = intercept[CsvIngest.ValidationError] { CsvIngest.read(spark, "x", d, l, a) }
+    assert(err.getMessage == "3 attribute(s) in data.csv missing from attribute.csv")
+  }
+
+  test("counts each unregistered (id, attribute) pair once, a null id among them") {
+    // 00001 is not registered; 00000 is, but not for humidity; the empty id
+    // is null, which matches no location row, not even one without an id.
+    val dir = tmpDir()
+    val (d, l, a) = writeFiles(dir,
+      Seq(header,
+        "00000,temperature,2016-03-01 00:00:00,1.0",
+        "00000,humidity,2016-03-01 00:00:00,60.0",
+        "00001,temperature,2016-03-01 00:00:00,1.0",
+        "00001,temperature,2016-03-01 01:00:00,2.0",
+        ",temperature,2016-03-01 00:00:00,3.0"),
+      Seq(locHeader, "00000,temperature,43.0,-3.8", ",temperature,43.1,-3.8"),
+      Seq("temperature", "humidity"))
+    val err = intercept[CsvIngest.ValidationError] { CsvIngest.read(spark, "x", d, l, a) }
+    assert(err.getMessage == "3 sensor(s) in data.csv missing from location.csv")
+  }
+
+  test("of two faults, the one checked first is raised, with its count") {
+    // Each fault alone fails exactly its own check with a count of 1, on a
+    // clean two-sensor base; faults are listed in the order they are checked.
+    val t0 = "2016-03-01 00:00:00"
+    final case class Fault(expected: String, data: Seq[String] = Nil, loc: Seq[String] = Nil)
+    val faults = Seq(
+      Fault("1 attribute(s) in data.csv missing", Seq(s"m1,mystery,$t0,1.0"), Seq("m1,mystery,43.0,-3.8")),
+      Fault("1 sensor(s) in data.csv missing", Seq(s"u1,temperature,$t0,1.0")),
+      Fault("1 location(s) without a sensor id", loc = Seq(",temperature,43.0,-3.8")),
+      Fault("1 location(s) with an unparseable or impossible coordinate", loc = Seq("c1,temperature,95.0,-3.8")),
+      Fault("1 location(s) repeat the sensor id", loc = Seq("d1,temperature,43.0,-3.8", "d1,light,43.0,-3.8")),
+      Fault("1 record(s) with unparseable timestamps", Seq("a,temperature,not-a-time,1.0")),
+      Fault("1 record(s) with a non-finite reading", Seq(s"r1,temperature,$t0,NaN"), Seq("r1,temperature,43.0,-3.8")),
+      Fault("1 record(s) repeat the (id, time)", Seq(s"a,temperature,$t0,5.0")),
+      Fault("timestamps are not on one equal-interval grid",
+        Seq("g1,temperature,2016-03-01 03:30:00,1.0"), Seq("g1,temperature,43.0,-3.8")),
+    )
+    val baseData = for (id <- Seq("a", "b"); h <- 0 to 3) yield s"$id,temperature,2016-03-01 0$h:00:00,$h.0"
+    val baseLoc = Seq("a,temperature,43.0,-3.8", "b,temperature,43.0,-3.8")
+    def raised(fs: Fault*): String = {
+      val (d, l, a) = writeFiles(tmpDir(), header +: (baseData ++ fs.flatMap(_.data)),
+        locHeader +: (baseLoc ++ fs.flatMap(_.loc)), Seq("temperature", "light"))
+      intercept[CsvIngest.ValidationError] { CsvIngest.read(spark, "x", d, l, a) }.getMessage
+    }
+    for (i <- faults.indices; j <- faults.indices if i < j) {
+      val message = raised(faults(i), faults(j))
+      assert(message.startsWith(faults(i).expected), s"faults $i and $j: $message")
+    }
+  }
+
+  test("an unparseable reading is counted with the non-finite ones") {
+    val dir = tmpDir()
+    val (d, l, a) = writeFiles(dir,
+      Seq(header,
+        "00000,temperature,2016-03-01 00:00:00,1.0",
+        "00000,temperature,2016-03-01 01:00:00,abc",
+        "00000,temperature,2016-03-01 02:00:00,NaN",
+        "00000,temperature,2016-03-01 03:00:00,null"),
+      Seq(locHeader, "00000,temperature,43.0,-3.8"),
+      Seq("temperature"))
+    val err = intercept[CsvIngest.ValidationError] { CsvIngest.read(spark, "x", d, l, a) }
+    assert(err.getMessage.contains("2 record(s)") && err.getMessage.contains("non-finite"))
+  }
+
+  test("rejects a grid whose gaps differ below one second") {
+    // Whole seconds read 1 s and 1 s; the mining grid's microseconds read
+    // 1,000,000 and 1,500,000.
+    val dir = tmpDir()
+    val (d, l, a) = writeFiles(dir,
+      Seq(header,
+        "00000,temperature,2016-03-01 10:00:00,1.0",
+        "00000,temperature,2016-03-01 10:00:01,2.0",
+        "00000,temperature,2016-03-01 10:00:02.5,3.0"),
+      Seq(locHeader, "00000,temperature,43.0,-3.8"),
+      Seq("temperature"))
+    val err = intercept[CsvIngest.ValidationError] { CsvIngest.read(spark, "x", d, l, a) }
+    assert(err.getMessage.contains("grid"))
+  }
+
+  test("validation reads data.csv's rows at most twice") {
+    // data.csv holds 40 sensors x 100 hours; the other two files 43 rows.
+    val ids = (0 until 40).map(i => f"s$i%02d")
+    val data = for (id <- ids; h <- 0 until 100)
+      yield f"$id,temperature,2016-03-${1 + h / 24}%02d ${h % 24}%02d:00:00,$h.0"
+    val loc = ids.map(id => s"$id,temperature,43.0,-3.8")
+    val attrs = Seq("temperature", "light", "humidity")
+    val (d, l, a) = writeFiles(tmpDir(), header +: data, locHeader +: loc, attrs)
+    val (ds, run) = observe("validated-read")(CsvIngest.read(spark, "x", d, l, a))
+    assert(ds.attributes == attrs)
+    val read = run.tasks.map(_.inputMetrics.recordsRead).sum
+    // Besides two passes over data.csv: location.csv and attribute.csv
+    // once each, and a few lines for the header of each CSV with one.
+    assert(read >= 2 * data.length && read <= 2 * data.length + loc.length + attrs.length + 10,
+      s"$read records read for ${data.length} data rows")
+  }
+
   test("validate = false skips the checks") {
     val dir = tmpDir()
     val (d, l, a) = writeFiles(dir,
