@@ -33,7 +33,10 @@ import repro.core.{Cap, CapParams, CapTable}
   * empty or cut-off one, is a miss, and the next put replaces it.
   *
   * [[getOrCompute]] keeps the CAPs a [[CapTable]] on the driver; [[get]]
-  * and [[put]] adapt the one decoder and encoder to a `Dataset[Cap]`.
+  * and [[put]] adapt the one decoder and encoder to a `Dataset[Cap]`. Both
+  * `getOrCompute` and `put` collect the mining Dataset with
+  * [[CapTable.collect]]: each of its tasks builds a table of its own CAPs,
+  * and the driver merges the tables without building a [[Cap]].
   */
 final class CapCache(root: String) {
 
@@ -76,7 +79,7 @@ final class CapCache(root: String) {
     * concurrent puts for the same key, one entry survives.
     */
   def put(dataset: String, params: CapParams, caps: Dataset[Cap]): Unit =
-    write(dataset, params, CapTable(caps.collect().toIndexedSeq))
+    write(dataset, params, CapTable.collect(caps))
 
   private def write(dataset: String, params: CapParams, caps: CapTable): Unit = {
     val (file, material) = entryOf(dataset, params)
@@ -125,8 +128,9 @@ final class CapCache(root: String) {
   /** The interactive-analysis entry point: serve from the store when the
     * user re-submits known parameters, otherwise run MISCELA once, persist
     * its CAPs and serve those. A hit calls no Spark API; a miss collects
-    * `compute` once. Either way the CAPs come back in export order.
-    * Returns (caps, cacheHit).
+    * `compute` once, as one CAP table per task, merged on the driver.
+    * Either way the CAPs come back in export order. Returns (caps,
+    * cacheHit).
     */
   def getOrCompute(
       spark: SparkSession,
@@ -136,7 +140,7 @@ final class CapCache(root: String) {
     load(dataset, params) match {
       case Some(cached) => (cached, true)
       case None =>
-        val caps = CapTable(compute.collect().toIndexedSeq)
+        val caps = CapTable.collect(compute)
         write(dataset, params, caps)
         (caps, false)
     }

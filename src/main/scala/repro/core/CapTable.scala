@@ -5,6 +5,8 @@ import java.util.{Arrays, Comparator}
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
 
+import org.apache.spark.sql.Dataset
+
 /** A CAP set in export order, as columns: each distinct attribute and
   * sensor id is stored once, in `names`, and every CAP refers to them by
   * index. This is the one form the CAPs take on the driver after mining:
@@ -30,7 +32,7 @@ final class CapTable(
     val bounds: Array[Int],
     val members: Array[Int],
     val support: Array[Long],
-) extends IndexedSeq[Cap] {
+) extends IndexedSeq[Cap] with Serializable {
   require(bounds.length == 2 * support.length + 1 && bounds(0) == 0 && bounds.last == members.length,
     "CAP bounds do not match the members and supports")
   require(ascending(bounds), "CAP bounds are not ascending")
@@ -61,31 +63,68 @@ object CapTable {
     */
   def apply(caps: Seq[Cap]): CapTable = caps match {
     case table: CapTable => table
-    case _ =>
-      val in = interned(caps)
-      val order = exportOrder(in)
-      val bounds = new Array[Int](in.bounds.length)
-      val members = new Array[Int](in.members.length)
-      var k = 1
-      order.foreach { c =>
-        // The CAP's attributes, then its sensors.
-        var part = 2 * c.intValue
-        while (part < 2 * c.intValue + 2) {
-          val length = in.bounds(part + 1) - in.bounds(part)
-          System.arraycopy(in.members, in.bounds(part), members, bounds(k - 1), length)
-          bounds(k) = bounds(k - 1) + length
-          part += 1
-          k += 1
-        }
-      }
-      new CapTable(in.names, bounds, members, order.map(c => in.support(c.intValue)))
+    case _               => inExportOrder(interned(caps))
   }
 
-  /** The same CAP objects, in export order: what a table of them holds,
-    * without building one.
+  /** The CAPs of `tables`, in export order, as one table. The names are the
+    * union of the tables' names; each table's members are remapped to it
+    * through a rank array, so no CAP is built and no name hashed per CAP.
+    * Each table is a run in export order, so the sort only merges the runs.
     */
-  def sorted(caps: IndexedSeq[Cap]): IndexedSeq[Cap] =
-    ArraySeq.unsafeWrapArray(exportOrder(interned(caps)).map(c => caps(c.intValue)))
+  def merge(tables: Seq[CapTable]): CapTable = {
+    val names = tables.flatMap(_.names).distinct.sorted.toArray
+    val keys: Array[AnyRef] = names.asInstanceOf[Array[AnyRef]]
+    val n = tables.map(_.length).sum
+    val bounds = new Array[Int](2 * n + 1)
+    val members = new Array[Int](tables.map(_.members.length).sum)
+    val support = new Array[Long](n)
+    var caps = 0
+    tables.foreach { t =>
+      val rank = t.names.map(name => Arrays.binarySearch(keys, name: AnyRef))
+      val from = bounds(2 * caps)
+      var k = 0
+      while (k < t.members.length) {
+        members(from + k) = rank(t.members(k))
+        k += 1
+      }
+      k = 1
+      while (k < t.bounds.length) {
+        bounds(2 * caps + k) = from + t.bounds(k)
+        k += 1
+      }
+      System.arraycopy(t.support, 0, support, caps, t.length)
+      caps += t.length
+    }
+    inExportOrder(new Columns(names, bounds, members, support))
+  }
+
+  /** The CAPs of `ds` as one table: each partition builds its own, and only
+    * those tables are collected and merged. A Dataset made from an RDD of
+    * CAPs, as [[Miscela.mine]]'s is, hands its CAP objects to the
+    * partitions as they are, without encoding them into rows.
+    */
+  def collect(ds: Dataset[Cap]): CapTable =
+    merge(ds.rdd.mapPartitions(caps => Iterator(CapTable(caps.toIndexedSeq))).collect().toSeq)
+
+  /** The table of the CAPs of `in`, put in export order. */
+  private def inExportOrder(in: Columns): CapTable = {
+    val order = exportOrder(in)
+    val bounds = new Array[Int](in.bounds.length)
+    val members = new Array[Int](in.members.length)
+    var k = 1
+    order.foreach { c =>
+      // The CAP's attributes, then its sensors.
+      var part = 2 * c.intValue
+      while (part < 2 * c.intValue + 2) {
+        val length = in.bounds(part + 1) - in.bounds(part)
+        System.arraycopy(in.members, in.bounds(part), members, bounds(k - 1), length)
+        bounds(k) = bounds(k - 1) + length
+        part += 1
+        k += 1
+      }
+    }
+    new CapTable(in.names, bounds, members, order.map(c => in.support(c.intValue)))
+  }
 
   /** The indices of the CAPs of `in`, in export order. */
   private def exportOrder(in: Columns): Array[Integer] = {

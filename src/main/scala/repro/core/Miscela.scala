@@ -46,7 +46,8 @@ final case class CompEdge(component: String, src: String, dst: String)
   *    numbered in component order and dealt round-robin to
   *    min(defaultParallelism, units) tasks. One large component is thus
   *    searched on every core, and many small ones share a few tasks.
-  *    Each task emits its CAPs in export order ([[CapTable]]).
+  *    [[CapTable.collect]] has each task put its CAPs in one [[CapTable]],
+  *    and the driver merges the tasks' tables.
   */
 object Miscela {
 
@@ -175,7 +176,10 @@ object Miscela {
   }
 
   /** Full CAP mining: all four stages. Stages 1–3 run when this is called;
-    * the search runs when the returned Dataset is evaluated.
+    * the search runs when the returned Dataset is evaluated. The Dataset is
+    * made from an RDD of CAPs, so [[CapTable.collect]] reads each task's CAP
+    * objects as they are, without encoding them into rows: each task builds
+    * its CAP table, and only the tables cross to the driver.
     *
     * @param data      measurement records (id, attribute, time, data)
     * @param locations sensor registry (id, attribute, lat, lon)
@@ -201,12 +205,11 @@ object Miscela {
       .parallelize(0 until k, k)
       .flatMap { j =>
         // Task j searches the units whose ordinal is j modulo k, and builds
-        // only the components it holds a root of. It emits its CAPs in
-        // export order, so the driver's sort only merges the k runs.
-        CapTable.sorted(searched.iterator.zip(first.iterator).flatMap { case ((sensors, edges), f) =>
+        // only the components it holds a root of.
+        searched.iterator.zip(first.iterator).flatMap { case ((sensors, edges), f) =>
           if (Math.floorMod(j - f, k) >= sensors.length) Nil
           else searchAssembled(sensors, edges, nT, params, useNaive, r => (f + r) % k == j)
-        }.toIndexedSeq)
+        }
       }
       .toDS()
   }

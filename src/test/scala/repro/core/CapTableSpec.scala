@@ -2,6 +2,8 @@ package repro.core
 
 import scala.util.Random
 
+import org.apache.spark.SparkConf
+import org.apache.spark.serializer.JavaSerializer
 import org.scalatest.funsuite.AnyFunSuite
 
 /** The export order as it was before the CAP table, kept as the oracle of
@@ -31,6 +33,15 @@ object CapTableSpec {
   val trickyNames: IndexedSeq[String] = IndexedSeq(
     "", ",", "+", "!", " ", "\u0000", "\uFB01", "\uD83D\uDE00", "\uD83D\uDE00x", "a", "a,", "a,b", "a+", "a!",
     "a ", "a\u0000", "ab", "abc", "b", "s1", "s10", "s1,0", "s100", "s2", "\uFB01\uFB01", "PM2.5", "PM2",
+  )
+
+  /** Distinct CAPs whose lists join to the same strings: `[]` and `[""]`,
+    * and `["a,b"]` and `["a", "b"]`.
+    */
+  val colliding: Seq[Cap] = Seq(
+    Cap(Seq("a,b"), Seq("s"), 1), Cap(Seq("a", "b"), Seq("s"), 1),
+    Cap(Nil, Seq("s"), 1), Cap(Seq(""), Seq("s"), 1),
+    Cap(Nil, Seq(""), 1), Cap(Seq(""), Nil, 1),
   )
 
   /** `n` random CAPs over `names`, each with 0–3 attributes and 0–4
@@ -83,17 +94,44 @@ class CapTableSpec extends AnyFunSuite {
     val all = runs.flatten
     assert(JoinedOrder.holds(CapTable(all), all))
     assert(CapTable(rnd.shuffle(all)) == CapTable(all))
-    val sorted = CapTable.sorted(rnd.shuffle(all).toIndexedSeq)
-    assert(sorted == CapTable(all))
-    assert(sorted.forall(c => all.exists(_ eq c)), "sorted copies the CAPs instead of reordering them")
+    val merged = CapTable.merge(runs.map(CapTable(_)))
+    assert(merged == CapTable(all))
+    assert(merged.names.toSeq == CapTable(all).names.toSeq)
+  }
+
+  (1 to 5).foreach { seed =>
+    test(s"property: merging the tables of any split equals the table of all the CAPs (seed $seed)") {
+      val rnd = new Random(100 + seed)
+      def same(got: CapTable, want: CapTable, what: String): Unit = {
+        assert(got == want, what)
+        assert(got.names.toSeq == want.names.toSeq, s"$what: names")
+      }
+      assert(CapTable.merge(Nil).isEmpty && CapTable.merge(Nil).bounds.toSeq == Seq(0))
+      (0 until 25).foreach { round =>
+        val names = rnd.shuffle(trickyNames).take(2 + rnd.nextInt(trickyNames.length - 1))
+        val caps = rnd.shuffle(randomCaps(rnd, rnd.nextInt(300), names) ++ colliding)
+        // Each CAP goes to one of 1–6 parts, so some parts may stay empty.
+        val k = 1 + rnd.nextInt(6)
+        val parts = caps.groupBy(_ => rnd.nextInt(k)).values.toSeq ++ Seq.fill(rnd.nextInt(3))(Nil)
+        same(CapTable.merge(rnd.shuffle(parts).map(CapTable(_))), CapTable(caps), s"round $round")
+        // Parts over disjoint names: each part's table knows only its own.
+        val (left, right) = names.splitAt(names.length / 2)
+        val disjoint = Seq(randomCaps(rnd, rnd.nextInt(100), left), randomCaps(rnd, rnd.nextInt(100), right))
+        same(CapTable.merge(disjoint.map(CapTable(_))), CapTable(disjoint.flatten), s"round $round, disjoint")
+      }
+    }
+  }
+
+  test("a table read back through Spark's Java serializer is equal") {
+    val t = CapTable(randomCaps(new Random(5), 200, trickyNames) ++ colliding)
+    val serializer = new JavaSerializer(new SparkConf()).newInstance()
+    val back = serializer.deserialize[CapTable](serializer.serialize(t))
+    assert(back == t)
+    assert(back.names.toSeq == t.names.toSeq && back.bounds.toSeq == t.bounds.toSeq &&
+      back.members.toSeq == t.members.toSeq && back.support.toSeq == t.support.toSeq)
   }
 
   test("distinct CAPs whose lists join to the same strings keep one order") {
-    val colliding = Seq(
-      Cap(Seq("a,b"), Seq("s"), 1), Cap(Seq("a", "b"), Seq("s"), 1),
-      Cap(Nil, Seq("s"), 1), Cap(Seq(""), Seq("s"), 1),
-      Cap(Nil, Seq(""), 1), Cap(Seq(""), Nil, 1),
-    )
     val orders = colliding.permutations.map(CapTable(_).toSeq).toSet
     assert(orders.size == 1)
     assert(JoinedOrder.holds(orders.head, colliding))

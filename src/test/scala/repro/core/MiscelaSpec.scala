@@ -1,9 +1,12 @@
 package repro.core
 
+import java.nio.file.Files
+
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{col, spark_partition_id}
 
 import repro.{Oracle, SparkSpec}
+import repro.cache.CapCache
 import repro.geo.SpatialJoin
 import repro.graph.ConnectedComponents
 
@@ -271,6 +274,31 @@ class MiscelaSpec extends SparkSpec {
       s"$tasks search tasks at defaultParallelism ${sc.defaultParallelism}")
     assert(caps.nonEmpty && caps.forall(_.sensors.forall(_.startsWith("c"))))
     assert(canon(caps) == canon(mined(data, locs, edgeParams, useNaive = true)))
+
+    // A cache miss collects the same search in one job, with no more tasks.
+    val cache = new CapCache(Files.createTempDirectory("stage-4-cache").toString)
+    val ((table, hit), miss) = observe("stage-4-miss")(cache.getOrCompute(spark, "x", edgeParams)(search))
+    assert(!hit && table == CapTable(caps))
+    assert(miss.jobs.size == 1, s"${miss.jobs.size} Spark jobs on a miss")
+    val missTasks = miss.jobs.head.stageInfos.map(_.numTasks).sum
+    assert(missTasks >= 1 && missTasks <= math.min(sc.defaultParallelism, 3),
+      s"$missTasks search tasks on a miss at defaultParallelism ${sc.defaultParallelism}")
+  }
+
+  test("CapTable.collect equals the table of the collected CAPs") {
+    import spark.implicits._
+    val (data, locs) = world()
+    // Five (component, root) units: one task per unit up to defaultParallelism.
+    val search = Miscela.mine(spark, data, locs, edgeParams)
+    assert(search.rdd.getNumPartitions == math.min(spark.sparkContext.defaultParallelism, 5))
+    val local = CapTableSpec.randomCaps(new scala.util.Random(7), 300, CapTableSpec.trickyNames).toDS()
+    Seq("mine" -> search, "a local Dataset" -> local, "an empty Dataset" -> Seq.empty[Cap].toDS())
+      .foreach { case (what, ds) =>
+        val want = CapTable(ds.collect().toIndexedSeq)
+        val got = CapTable.collect(ds)
+        assert(got == want && got.names.toSeq == want.names.toSeq, what)
+        assert(got.isEmpty == (what == "an empty Dataset"), what)
+      }
   }
 
   test("stages 1-2 run on every core: one shuffle, read by the grid and the kernel") {
