@@ -4,8 +4,11 @@ import scala.collection.mutable
 import scala.collection.mutable.ArrayBuilder
 
 import org.apache.spark.HashPartitioner
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset, Row, SparkSession}
+import org.apache.spark.sql.classic.ClassicConversions.castToImpl
 import org.apache.spark.sql.functions._
+import org.apache.spark.unsafe.types.UTF8String
 
 import repro.evolve.EvolvingTimestamps
 import repro.geo.SpatialJoin
@@ -19,6 +22,9 @@ final case class CompSensor(component: String, id: String, attribute: String, pl
 
 /** An η-proximity edge routed to its spatial component. */
 final case class CompEdge(component: String, src: String, dst: String)
+
+/** One row of the sensor registry (`location.csv`); a null coordinate is `None`. */
+final case class SensorLocation(id: String, attribute: String, lat: Option[Double], lon: Option[Double])
 
 /** End-to-end MISCELA pipeline (Section 2.2).
   *
@@ -36,10 +42,14 @@ final case class CompEdge(component: String, src: String, dst: String)
   *    against ε ([[EvolvingTimestamps.events]]). A sensor with fewer than
   *    ψ evolving timestamps can never appear in a CAP (a set's support is
   *    bounded by each member's own support), so it is dropped there; the
-  *    survivors' plus/minus index lists are collected;
-  *  - stage 3 runs on the driver over the collected locations: the
-  *    η-proximity join ([[SpatialJoin.pairs]]) and union-find components
-  *    ([[ConnectedComponents.labels]]);
+  *    survivors' plus/minus index lists are collected. Neither the shuffle
+  *    nor the grid depends on the parameters, so for a persisted `data`
+  *    frame both are kept while it stays persisted, and a later call runs
+  *    only the second job, without the shuffle's map stage;
+  *  - stage 3 runs on the driver over the collected sensor registry
+  *    ([[registry]], collected once for a persisted `locations` frame):
+  *    the η-proximity join ([[SpatialJoin.pairs]]) and union-find
+  *    components ([[ConnectedComponents.labels]]);
   *  - stage 4 is one lazy Spark job. Search subtrees under different roots
   *    are independent ([[CapSearch]]), so the unit of work is a (component,
   *    root) pair: the units of the components with at least two sensors are
@@ -85,20 +95,49 @@ object Miscela {
         Array.concat(rs.map(_.present): _*))
     }
 
-  /** Stages 1–2 for every sensor of `data` (id, attribute, time, data):
-    * (id, plus, minus) indices on the time grid of its evolving timestamps,
-    * for the sensors with at least ψ of them, and the number of timestamps
-    * on the grid.
+  /** Values computed from one frame's rows alone, kept while that frame
+    * stays persisted. The key is the frame's entry in Spark's cache, its
+    * `InMemoryRelation`, which `unpersist()` drops and a later `persist()`
+    * replaces with a new one, so a value is never served for rows read
+    * before that. A frame that is not persisted has no entry and gets a
+    * fresh value on every call. One value is kept, for the last persisted
+    * frame seen; a call on another persisted frame replaces it. Concurrent
+    * callers build under one lock, so a second caller waits for the value
+    * the first one builds.
+    */
+  private final class PerPersistedFrame[A] {
+    private var kept: Option[(AnyRef, A)] = None
+
+    def apply(frame: DataFrame)(build: => A): A = {
+      val ds = castToImpl(frame)
+      ds.sparkSession.sharedState.cacheManager.lookupCachedData(ds) match {
+        case None => build
+        case Some(entry) =>
+          synchronized {
+            kept match {
+              case Some((key, value)) if key eq entry.cachedRepresentation => value
+              case _ =>
+                val value = build
+                kept = Some((entry.cachedRepresentation, value))
+                value
+            }
+          }
+      }
+    }
+  }
+
+  /** The part of stages 1–2 that no parameter changes: each sensor's
+    * readings shuffled to one partition, and the time grid.
     *
     * Each input partition's readings cross one shuffle as per-sensor
     * partials. The shuffle is partitioned by sensor over defaultParallelism
     * partitions, as an RDD so that adaptive execution cannot coalesce it
-    * into one task. Two jobs read it: the first collects each partition's
-    * distinct timestamps, which the driver merges into the grid; the second
-    * runs the stage 1–2 kernel per sensor, and reuses the shuffle files of
-    * the first instead of running its map stage again.
+    * into one task. One job collects each partition's distinct timestamps,
+    * which the driver merges into the grid. For a persisted frame both are
+    * kept ([[PerPersistedFrame]]): a later job over the kept RDD reads its
+    * shuffle files, and Spark skips the map stage. No block is persisted.
     */
-  private def evolution(data: DataFrame, params: CapParams): (Array[(String, Array[Int], Array[Int])], Int) = {
+  private def prepare(data: DataFrame): (RDD[(String, Readings)], Array[Long]) = preparedData(data) {
     val shuffled = data
       .select(col("id").cast("string"), unix_micros(col("time")), col("data").cast("double"))
       .rdd
@@ -107,7 +146,19 @@ object Miscela {
     val perPartition = shuffled
       .mapPartitions(ps => Iterator(TimeIndex.grid(Array.concat(ps.map(_._2.micros).toSeq: _*))))
       .collect()
-    val grid = TimeIndex.grid(Array.concat(perPartition: _*))
+    (shuffled, TimeIndex.grid(Array.concat(perPartition: _*)))
+  }
+
+  private val preparedData = new PerPersistedFrame[(RDD[(String, Readings)], Array[Long])]
+
+  /** Stages 1–2 for every sensor of `data` (id, attribute, time, data):
+    * (id, plus, minus) indices on the time grid of its evolving timestamps,
+    * for the sensors with at least ψ of them, and the number of timestamps
+    * on the grid. One job over the shuffled readings ([[prepare]]) runs
+    * the stage 1–2 kernel per sensor.
+    */
+  private def evolution(data: DataFrame, params: CapParams): (Array[(String, Array[Int], Array[Int])], Int) = {
+    val (shuffled, grid) = prepare(data)
     val evolved = shuffled
       .mapPartitions(merged)
       .flatMap { case (id, r) =>
@@ -120,6 +171,26 @@ object Miscela {
     (evolved, grid.length)
   }
 
+  /** The sensor registry `locations` (id, attribute, lat, lon), collected,
+    * in id order by Spark's string order (UTF-8 bytes, i.e. code points).
+    * Stage 3 and the GeoJSON layer both read it; for a persisted frame it
+    * is collected once ([[PerPersistedFrame]]).
+    */
+  def registry(locations: DataFrame): IndexedSeq[SensorLocation] = collectedRegistry(locations) {
+    def coordinate(r: Row, i: Int) = if (r.isNullAt(i)) None else Some(r.getDouble(i))
+    locations
+      .select(col("id").cast("string"), col("attribute").cast("string"),
+        col("lat").cast("double"), col("lon").cast("double"))
+      .collect()
+      .map(r => (UTF8String.fromString(r.getString(0)),
+        SensorLocation(r.getString(0), r.getString(1), coordinate(r, 2), coordinate(r, 3))))
+      .sortWith((a, b) => a._1.compareTo(b._1) < 0)
+      .map(_._2)
+      .toIndexedSeq
+  }
+
+  private val collectedRegistry = new PerPersistedFrame[IndexedSeq[SensorLocation]]
+
   /** Stages 1–3 on the driver: each component holding a sensor that
     * survived the ψ prune, as (sensors, edges between them), in component
     * order, plus the number of timestamps on the global grid. Harnesses
@@ -131,23 +202,17 @@ object Miscela {
       locations: DataFrame,
       params: CapParams,
   ): (Seq[(Array[CompSensor], Array[CompEdge])], Int) = {
-    import spark.implicits._
     val (evolved, nT) = evolution(data, params)
     val kept = evolved.map(s => s._1 -> s).toMap
-    val locs = locations
-      .select(col("id").cast("string"), col("attribute").cast("string"),
-        col("lat").cast("double"), col("lon").cast("double"))
-      .as[(String, String, Option[Double], Option[Double])]
-      .collect()
-      .toSeq
-    val sites = locs.collect { case (id, _, Some(lat), Some(lon)) => (id, lat, lon) }
+    val locs = registry(locations)
+    val sites = locs.collect { case SensorLocation(id, _, Some(lat), Some(lon)) => (id, lat, lon) }
     val edges = SpatialJoin.pairs(sites, params.etaKm)
-    val component = ConnectedComponents.labels(locs.map(_._1), edges.map(e => (e._1, e._2)))
+    val component = ConnectedComponents.labels(locs.map(_.id), edges.map(e => (e._1, e._2)))
 
     // A sensor without a location has no place in the η-graph; drop it.
-    val sensors = locs.collect { case (id, attribute, _, _) if kept.contains(id) =>
-      val (_, plus, minus) = kept(id)
-      CompSensor(component(id), id, attribute, plus.toSeq, minus.toSeq)
+    val sensors = locs.collect { case l if kept.contains(l.id) =>
+      val (_, plus, minus) = kept(l.id)
+      CompSensor(component(l.id), l.id, l.attribute, plus.toSeq, minus.toSeq)
     }
     val edgesOf = edges
       .collect { case (src, dst, _) if kept.contains(src) && kept.contains(dst) => CompEdge(component(src), src, dst) }
@@ -176,10 +241,12 @@ object Miscela {
   }
 
   /** Full CAP mining: all four stages. Stages 1–3 run when this is called;
-    * the search runs when the returned Dataset is evaluated. The Dataset is
-    * made from an RDD of CAPs, so [[CapTable.collect]] reads each task's CAP
-    * objects as they are, without encoding them into rows: each task builds
-    * its CAP table, and only the tables cross to the driver.
+    * the search runs when the returned Dataset is evaluated. On `data` and
+    * `locations` frames that are persisted and were mined before, stages
+    * 1–3 run one Spark job, the stage 1–2 kernel (see [[Miscela]]). The
+    * Dataset is made from an RDD of CAPs, so [[CapTable.collect]] reads each
+    * task's CAP objects as they are, without encoding them into rows: each
+    * task builds its CAP table, and only the tables cross to the driver.
     *
     * @param data      measurement records (id, attribute, time, data)
     * @param locations sensor registry (id, attribute, lat, lon)

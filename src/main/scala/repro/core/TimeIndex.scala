@@ -13,8 +13,9 @@ import org.apache.spark.sql.functions._
   * The grid is small (at most a few thousand timestamps). A mining run
   * reads it off the stage 1–2 shuffle (`Miscela`): each reduce partition
   * reports the distinct timestamps of its sensors and the driver merges
-  * them with `grid(micros)`. The grid then travels to the executors inside
-  * the task closure; a record's index is a binary search on it.
+  * them with `grid(micros)`, once per persisted `data` frame. The grid then
+  * travels to the executors inside the task closure; a record's index is a
+  * binary search on it.
   */
 object TimeIndex {
 

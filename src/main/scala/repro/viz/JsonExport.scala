@@ -6,9 +6,8 @@ import scala.collection.Searching.Found
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import org.apache.spark.unsafe.types.UTF8String
 
-import repro.core.{Cap, CapTable}
+import repro.core.{Cap, CapTable, Miscela}
 
 /** The Spark-side boundary of MISCELA-V's visualization (Section 3):
   * CAP results, sensor locations, and time series are serialized to JSON
@@ -30,6 +29,12 @@ import repro.core.{Cap, CapTable}
   * arrays. [[writeAll]] shares the table between the CAP ids, the GeoJSON
   * back-references and the top-3 pick, and it fetches the series of all
   * three top CAPs with one Spark job.
+  *
+  * The GeoJSON takes its sensors from [[Miscela.registry]], the collected
+  * registry that stage 3 reads too. For a persisted `locations` frame it is
+  * collected once, so on persisted frames a [[writeAll]] after
+  * [[Miscela.mine]] (or after a cache hit that follows one) runs one Spark
+  * job, the series fetch.
   */
 object JsonExport {
 
@@ -119,25 +124,19 @@ object JsonExport {
       next(caps.members(k)) += 1
     })
 
-    val rows = locations
-      .select(col("id").cast("string"), col("attribute").cast("string"),
-        col("lat").cast("double"), col("lon").cast("double"))
-      .collect()
-    // Ids in Spark's string order: by UTF-8 bytes, i.e. by code point.
-    val inIdOrder = rows.map(r => (UTF8String.fromString(r.getString(0)), r))
-      .sortWith((a, b) => a._1.compareTo(b._1) < 0)
     out.ascii("{\"type\":\"FeatureCollection\",\"features\":[")
-    inIdOrder.indices.foreach { f =>
-      val r = inIdOrder(f)._2
-      val id = r.getString(0)
+    Miscela.registry(locations).zipWithIndex.foreach { case (l, f) =>
       if (f > 0) out.byte(',')
       out.ascii("{\"type\":\"Feature\",\"geometry\":")
       // GeoJSON is (lon, lat)
-      if (r.isNullAt(2) || r.isNullAt(3)) out.ascii("null")
-      else out.ascii("{\"type\":\"Point\",\"coordinates\":[").num(r.getDouble(3)).byte(',').num(r.getDouble(2)).ascii("]}")
-      out.ascii(",\"properties\":{\"id\":").str(id).ascii(",\"attribute\":").str(r.getString(1))
+      (l.lat, l.lon) match {
+        case (Some(lat), Some(lon)) =>
+          out.ascii("{\"type\":\"Point\",\"coordinates\":[").num(lon).byte(',').num(lat).ascii("]}")
+        case _ => out.ascii("null")
+      }
+      out.ascii(",\"properties\":{\"id\":").str(l.id).ascii(",\"attribute\":").str(l.attribute)
       out.ascii(",\"caps\":[")
-      caps.names.search(id) match {
+      caps.names.search(l.id) match {
         case Found(m) =>
           (first(m) until first(m + 1)).foreach { k =>
             if (k > first(m)) out.byte(',')

@@ -1,6 +1,8 @@
 package repro.core
 
+import java.nio.charset.StandardCharsets.UTF_8
 import java.nio.file.Files
+import java.util.concurrent.{CountDownLatch, FutureTask, TimeUnit}
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{col, spark_partition_id}
@@ -347,6 +349,98 @@ class MiscelaSpec extends SparkSpec {
       val (expected, nT) = lists(single, params)
       assert(nT == 23 && expected.length == 3 && expected.forall(e => e._2.nonEmpty && e._3.nonEmpty))
       assert(lists(spread, params) == ((expected, nT)), params)
+    }
+  }
+
+  /** The shuffle map stages `run` submitted: a job's result stage has the
+    * job's highest stage id, and a stage whose map output is already
+    * registered is skipped, not submitted.
+    */
+  private def shuffleMaps(run: SparkSpec.Observed) = {
+    val resultStages = run.jobs.map(_.stageIds.max)
+    run.stages.filterNot(s => resultStages.contains(s.stageId))
+  }
+
+  private def comparable(assembled: (Seq[(Array[CompSensor], Array[CompEdge])], Int)) =
+    (assembled._1.map { case (s, e) => (s.toSeq, e.toSeq) }, assembled._2)
+
+  test("on persisted frames a repeated call runs one Spark job and no shuffle map stage") {
+    val (data, locs) = world()
+    val params = CapParams(epsilon = 1.0, etaKm = 0.5, mu = 3, psi = 2, maxSensors = 3)
+    val retuned = params.copy(psi = 3, delta = 0.5)
+    // Before persisting: the plan of another frame over the same rows would
+    // find the same cache entry.
+    val unpersisted = comparable(Miscela.assembleComponents(spark, data, locs, retuned))
+    data.persist()
+    locs.persist()
+    try {
+      Miscela.assembleComponents(spark, data, locs, params)
+      val (again, run) = observe("repeated")(Miscela.assembleComponents(spark, data, locs, retuned))
+      assert(run.jobs.size == 1, s"${run.jobs.size} Spark jobs")
+      assert(shuffleMaps(run).isEmpty, s"shuffle map stages run: ${shuffleMaps(run).map(_.name)}")
+      assert(comparable(again) == unpersisted)
+    } finally {
+      data.unpersist()
+      locs.unpersist()
+    }
+  }
+
+  test("a frame unpersisted, or re-persisted over rewritten rows, is prepared again") {
+    // x and y step together at hours 3 and 6. The rewrite moves y's second
+    // step to hour 7 by changing one reading to text of the same length.
+    val file = Files.createTempDirectory("re-persist").resolve("data.csv")
+    def upload(yAt6: String): Unit = {
+      val x = Seq("10.0", "10.0", "10.0", "20.0", "20.0", "20.0", "30.0", "30.0", "30.0", "30.0")
+      val y = x.updated(6, yAt6)
+      val lines = Seq("x" -> x, "y" -> y).flatMap { case (id, vs) =>
+        vs.zipWithIndex.map { case (v, t) => s"$id,${if (id == "x") "temperature" else "light"},${ts(t)},$v" }
+      }
+      Files.write(file, ("id,attribute,time,data\n" + lines.mkString("\n") + "\n").getBytes(UTF_8))
+    }
+    upload("30.0")
+    val data = spark.read.option("header", "true")
+      .schema("id STRING, attribute STRING, time TIMESTAMP, data DOUBLE").csv(file.toString)
+    val locs = locDf(spark, Seq(("x", "temperature", 43.46, -3.8), ("y", "light", 43.4601, -3.8)))
+    val params = CapParams(epsilon = 1.0, etaKm = 0.5, psi = 1, maxSensors = 2)
+    def plusLists() = Miscela.assembleComponents(spark, data, locs, params)._1.flatMap(_._1)
+      .map(s => s.id -> s.plus).toMap
+    def support() = Miscela.mine(spark, data, locs, params).collect().map(_.support).toSeq
+    data.persist()
+    try {
+      assert(plusLists() == Map("x" -> Seq(3, 6), "y" -> Seq(3, 6)) && support() == Seq(2))
+      upload("20.0")
+      data.unpersist()
+      val (lists, run) = observe("unpersisted")(plusLists())
+      assert(shuffleMaps(run).length == 1, s"shuffle map stages run: ${shuffleMaps(run).map(_.name)}")
+      assert(lists == Map("x" -> Seq(3, 6), "y" -> Seq(3, 7)) && support() == Seq(1))
+      data.persist()
+      assert(plusLists() == Map("x" -> Seq(3, 6), "y" -> Seq(3, 7)) && support() == Seq(1))
+      val (again, rerun) = observe("re-persisted")(plusLists())
+      assert(shuffleMaps(rerun).isEmpty && again == lists)
+    } finally data.unpersist()
+  }
+
+  test("two threads mining one persisted frame at once get the single-threaded CAP table") {
+    val (data, locs) = world()
+    val want = CapTable.collect(Miscela.mine(spark, data, locs, edgeParams))
+    data.persist()
+    locs.persist()
+    try {
+      val start = new CountDownLatch(1)
+      val runs = (1 to 2).map { _ =>
+        val done = new FutureTask[CapTable](() => {
+          start.await()
+          CapTable.collect(Miscela.mine(spark, data, locs, edgeParams))
+        })
+        new Thread(done).start()
+        done
+      }
+      start.countDown()
+      runs.foreach(r => assert(r.get(120, TimeUnit.SECONDS) == want))
+      assert(want.nonEmpty)
+    } finally {
+      data.unpersist()
+      locs.unpersist()
     }
   }
 }

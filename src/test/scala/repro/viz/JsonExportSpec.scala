@@ -13,6 +13,7 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.unsafe.types.UTF8String
 
 import repro.SparkSpec
+import repro.cache.CapCache
 import repro.core.{Cap, CapParams, CapTable, CapTableSpec, Miscela}
 import repro.core.TinyWorld
 import repro.data.SmartCityData
@@ -221,6 +222,46 @@ class JsonExportSpec extends SparkSpec {
       "series-1.json" -> "a8849a45696bfdd93e91de2e09840c3dd5b86a64fe7f2c05cf81ca4899ebf384",
       "series-2.json" -> "196443f0aa98c36d7b50cbb570c1206a29786e52eb6f155c42a8aa964b9bc625",
     ))
+  }
+
+  test("on persisted frames a repeated miss runs 3 Spark jobs and a hit 1, with the unpersisted payloads") {
+    inUtc {
+      val ds = SmartCityData.santander(spark, 0.05)
+      val params = CapParams(epsilon = 1.0, etaKm = 0.5, mu = 3, psi = 50, maxSensors = 4)
+      def request(cache: CapCache): (Boolean, Map[String, String]) = {
+        val (caps, hit) = cache.getOrCompute(spark, ds.name, params) {
+          Miscela.mine(spark, ds.data, ds.locations, params)
+        }
+        val dir = Files.createTempDirectory("viz-persisted")
+        JsonExport.writeAll(dir.toString, caps, ds.locations, ds.data)
+        val files = Seq("caps.json", "sensors.geojson", "series-0.json", "series-1.json", "series-2.json")
+        (hit, files.map(f => f -> sha256(dir.resolve(f))).toMap)
+      }
+      def store() = new CapCache(Files.createTempDirectory("viz-store").toString)
+      // Before persisting: another frame over the same plan would find the
+      // same cache entry.
+      val (_, unpersisted) = request(store())
+      ds.data.persist()
+      ds.locations.persist()
+      try {
+        request(store())
+        val cache = store()
+        val ((caps, hit), mining) = observe("repeated-miss") {
+          cache.getOrCompute(spark, ds.name, params)(Miscela.mine(spark, ds.data, ds.locations, params))
+        }
+        assert(!hit && mining.jobs.size == 2, s"${mining.jobs.size} Spark jobs to mine (kernel, stage 4)")
+        val dir = Files.createTempDirectory("viz-persisted")
+        val (_, writing) = observe("repeated-miss-export")(JsonExport.writeAll(dir.toString, caps, ds.locations, ds.data))
+        assert(writing.jobs.size == 1, s"${writing.jobs.size} Spark jobs in writeAll (the series fetch)")
+        assert(unpersisted.forall { case (f, digest) => sha256(dir.resolve(f)) == digest })
+        val ((hitAgain, payloads), served) = observe("hit")(request(cache))
+        assert(hitAgain && served.jobs.size == 1, s"${served.jobs.size} Spark jobs on a hit (the series fetch)")
+        assert(payloads == unpersisted)
+      } finally {
+        ds.data.unpersist()
+        ds.locations.unpersist()
+      }
+    }
   }
 
   test("writeAll gives a sensor with a null coordinate a null geometry") {
