@@ -25,13 +25,22 @@ object MineCapsJob {
       val ds = SmartCityData.byName(spark, a.str("dataset", "santander"), a.dbl("sf", 0.05))
       val params = a.capParams(repro.core.CapParams(psi = 50, maxSensors = 4))
       val cache = new CapCache(a.str("cache-dir", Files.createTempDirectory("capcache").toString))
-      val (caps, hit) = cache.getOrCompute(spark, ds.name, params) {
-        Miscela.mine(spark, ds.data, ds.locations, params)
+      // Persisted, the frames are shuffled by sensor and their registry is
+      // collected once, for mining and for the payloads alike.
+      ds.data.persist()
+      ds.locations.persist()
+      try {
+        val (caps, hit) = cache.getOrCompute(spark, ds.name, params) {
+          Miscela.mine(spark, ds.data, ds.locations, params)
+        }
+        val out = a.str("out", Files.createTempDirectory("miscela-v").toString)
+        val files = JsonExport.writeAll(out, caps, ds.locations, ds.data)
+        println(s"dataset=${ds.name} cacheHit=$hit caps=${caps.size}")
+        files.foreach(f => println(s"wrote $f"))
+      } finally {
+        ds.data.unpersist()
+        ds.locations.unpersist()
       }
-      val out = a.str("out", Files.createTempDirectory("miscela-v").toString)
-      val files = JsonExport.writeAll(out, caps, ds.locations, ds.data)
-      println(s"dataset=${ds.name} cacheHit=$hit caps=${caps.size}")
-      files.foreach(f => println(s"wrote $f"))
     } finally spark.stop()
   }
 }

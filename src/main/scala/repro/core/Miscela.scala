@@ -26,6 +26,13 @@ final case class CompEdge(component: String, src: String, dst: String)
 /** One row of the sensor registry (`location.csv`); a null coordinate is `None`. */
 final case class SensorLocation(id: String, attribute: String, lat: Option[Double], lon: Option[Double])
 
+/** One sensor's readings on the time grid, in no particular order: each
+  * reading's grid index, its value, and whether the value is present
+  * (false for a null reading).
+  */
+final class GridSeries(val t: Array[Int], val values: Array[Double], val present: Array[Boolean])
+    extends Serializable
+
 /** End-to-end MISCELA pipeline (Section 2.2).
   *
   * Spark touches only the measurement records, the one input that is big
@@ -56,8 +63,12 @@ final case class SensorLocation(id: String, attribute: String, lat: Option[Doubl
   *    numbered in component order and dealt round-robin to
   *    min(defaultParallelism, units) tasks. One large component is thus
   *    searched on every core, and many small ones share a few tasks.
-  *    [[CapTable.collect]] has each task put its CAPs in one [[CapTable]],
+    *    [[CapTable.collect]] has each task put its CAPs in one [[CapTable]],
   *    and the driver merges the tasks' tables.
+  *
+  * The temporal chart's series ([[series]]) are read off the same stage
+  * 1–2 shuffle, by one job over only the shuffled partitions that hold the
+  * wanted sensors; the shuffle's `HashPartitioner` names them.
   */
 object Miscela {
 
@@ -170,6 +181,27 @@ object Miscela {
       .collect()
     (evolved, grid.length)
   }
+
+  /** The readings of each sensor in `ids` that `data` (id, attribute,
+    * time, data) holds, with the time grid they are indexed on. One job
+    * over the shuffled readings ([[prepare]]) runs one task per partition
+    * that the shuffle's partitioner assigns a wanted id to; each task keeps
+    * only the wanted sensors' partials before merging them. On a persisted
+    * frame the shuffle is kept, so the job reads its files and runs no map
+    * stage. With no ids, no job runs.
+    */
+  def series(data: DataFrame, ids: Seq[String]): (Array[Long], Map[String, GridSeries]) =
+    if (ids.isEmpty) (Array.emptyLongArray, Map.empty)
+    else {
+      val (shuffled, grid) = prepare(data)
+      val wanted = ids.toSet
+      val partitions = wanted.toSeq.map(shuffled.partitioner.get.getPartition).distinct.sorted
+      val fetched = data.sparkSession.sparkContext.runJob(shuffled, (ps: Iterator[(String, Readings)]) =>
+        merged(ps.filter(p => wanted(p._1))).map { case (id, r) =>
+          id -> new GridSeries(r.micros.map(TimeIndex.indexOf(grid, _)), r.values, r.present)
+        }.toArray, partitions)
+      (grid, fetched.iterator.flatten.toMap)
+    }
 
   /** The sensor registry `locations` (id, attribute, lat, lon), collected,
     * in id order by Spark's string order (UTF-8 bytes, i.e. code points).

@@ -5,9 +5,10 @@ import java.nio.file.{Files, Path, Paths}
 import scala.collection.Searching.Found
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.catalyst.util.{DateTimeUtils, LegacyDateFormats, TimestampFormatter}
+import org.apache.spark.sql.internal.SQLConf
 
-import repro.core.{Cap, CapTable, Miscela}
+import repro.core.{Cap, CapTable, GridSeries, Miscela}
 
 /** The Spark-side boundary of MISCELA-V's visualization (Section 3):
   * CAP results, sensor locations, and time series are serialized to JSON
@@ -27,14 +28,21 @@ import repro.core.{Cap, CapTable, Miscela}
   * GeoJSON are written straight from its columns to bytes: each name is
   * quoted once, and ids and supports are written from its int and long
   * arrays. [[writeAll]] shares the table between the CAP ids, the GeoJSON
-  * back-references and the top-3 pick, and it fetches the series of all
-  * three top CAPs with one Spark job.
+  * back-references and the top-3 pick.
+  *
+  * The series of all three top CAPs come from one Spark job,
+  * [[Miscela.series]], which reads the stage 1–2 shuffle of `data` and
+  * runs one task per shuffled partition holding a wanted sensor. Each
+  * sensor arrives as primitive arrays of grid indices, values and presence
+  * flags, and is written to bytes too: the grid times are formatted once
+  * per call in the session time zone, as `date_format` formats them.
   *
   * The GeoJSON takes its sensors from [[Miscela.registry]], the collected
   * registry that stage 3 reads too. For a persisted `locations` frame it is
-  * collected once, so on persisted frames a [[writeAll]] after
-  * [[Miscela.mine]] (or after a cache hit that follows one) runs one Spark
-  * job, the series fetch.
+  * collected once, and for a persisted `data` frame the shuffle is kept, so
+  * on persisted frames a [[writeAll]] after [[Miscela.mine]] (or after a
+  * cache hit that follows one) runs one Spark job, the series read, and no
+  * shuffle map stage.
   */
 object JsonExport {
 
@@ -51,10 +59,13 @@ object JsonExport {
   def sensorsGeoJson(locations: DataFrame, caps: Seq[Cap]): JValue =
     rendered(writeSensors(_, locations, CapTable(caps)))
 
-  /** Time-series payload for one CAP: per sensor, the (time, value) pairs
-    * (nulls preserved — the chart shows gaps).
+  /** Time-series payload for one CAP: per sensor of the CAP that has
+    * readings, in id order, the (time, value) pairs (nulls preserved — the
+    * chart shows gaps), times as `yyyy-MM-dd HH:mm:ss` in the session time
+    * zone, ordered by that text, then by time. The bytes are those of
+    * [[writeAll]]'s series files, from the same writer.
     */
-  def seriesJson(data: DataFrame, cap: Cap): JValue = seriesJsons(data, Seq(cap)).head
+  def seriesJson(data: DataFrame, cap: Cap): JValue = rendered(seriesWriters(data, Seq(cap)).head)
 
   /** Writes the three payloads of a mining run's CAPs under `dir`; series
     * is emitted for the top 3 CAPs by support, and a series file that an
@@ -69,8 +80,8 @@ object JsonExport {
       write(base.resolve("caps.json"))(writeCaps(_, table)),
       write(base.resolve("sensors.geojson"))(writeSensors(_, locations, table)),
     )
-    val tops = seriesJsons(data, topBySupport(table.support, TopSeries).map(table(_))).zipWithIndex.map {
-      case (v, i) => write(base.resolve(s"series-$i.json"))(Json.write(v, _))
+    val tops = seriesWriters(data, topBySupport(table.support, TopSeries).map(table(_))).zipWithIndex.map {
+      case (body, i) => write(base.resolve(s"series-$i.json"))(body)
     }
     (tops.length until TopSeries).foreach(i => Files.deleteIfExists(base.resolve(s"series-$i.json")))
     written ++ tops
@@ -149,31 +160,49 @@ object JsonExport {
     out.ascii("]}")
   }
 
-  /** The series payloads of `caps`, in order, from one Spark job over the
-    * union of their sensors. Times are formatted in Spark, so the session
-    * time zone applies; each sensor's points are put in time order here.
+  /** Writers of the series payloads of `caps`, in order, fed by one Spark
+    * job over the union of their sensors ([[Miscela.series]]). Each grid
+    * time is formatted and quoted once, as `date_format(time, "yyyy-MM-dd
+    * HH:mm:ss")` formats it in the session time zone, and a sensor's points
+    * are put in the order of that text, then of time: one primitive sort
+    * per sensor of (rank of its grid index in that order, reading
+    * position). With no CAPs, [[Miscela.series]] runs no job.
     */
-  private def seriesJsons(data: DataFrame, caps: Seq[Cap]): Seq[JValue] =
-    if (caps.isEmpty) Nil
-    else {
-      val rows = data
-        .where(col("id").isin(caps.flatMap(_.sensors).distinct: _*))
-        .select(col("id").cast("string"),
-          date_format(col("time"), "yyyy-MM-dd HH:mm:ss").as("t"),
-          col("data").cast("double"))
-        .collect()
-      val bySensor = rows.groupBy(_.getString(0)).view.mapValues(_.sortBy(_.getString(1))).toMap
-      caps.map { cap =>
-        JArr(cap.sensors.filter(bySensor.contains).sorted.map { id =>
-          Json.obj(
-            "sensor" -> JStr(id),
-            "points" -> JArr(bySensor(id).toIndexedSeq.map { r =>
-              Json.arr(JStr(r.getString(1)), if (r.isNullAt(2)) JNull else JNum(r.getDouble(2)))
-            }),
-          )
-        })
+  private def seriesWriters(data: DataFrame, caps: Seq[Cap]): Seq[JsonOut => Unit] = {
+    val (grid, fetched) = Miscela.series(data, caps.flatMap(_.sensors).distinct)
+    val zone = DateTimeUtils.getZoneId(data.sparkSession.conf.get(SQLConf.SESSION_LOCAL_TIMEZONE.key))
+    val formatter = TimestampFormatter("yyyy-MM-dd HH:mm:ss", zone, LegacyDateFormats.SIMPLE_DATE_FORMAT,
+      isParsing = false)
+    val texts = grid.map(formatter.format)
+    val quoted = texts.map(Json.quoted)
+    // Grid indices are in time order, so a stable sort by text leaves
+    // equal texts (a repeated hour as clocks fall back) in time order.
+    val rank = new Array[Int](grid.length)
+    grid.indices.sortBy(texts(_)).zipWithIndex.foreach { case (t, r) => rank(t) = r }
+    def points(out: JsonOut, s: GridSeries): Unit = {
+      val order = Array.tabulate(s.t.length)(j => rank(s.t(j)).toLong << 32 | j)
+      java.util.Arrays.sort(order)
+      var k = 0
+      while (k < order.length) {
+        val j = order(k).toInt
+        if (k > 0) out.byte(',')
+        out.byte('[').bytes(quoted(s.t(j))).byte(',')
+        if (s.present(j)) out.num(s.values(j)) else out.ascii("null")
+        out.byte(']')
+        k += 1
       }
     }
+    caps.map(cap => (out: JsonOut) => {
+      out.byte('[')
+      cap.sensors.filter(fetched.contains).sorted.zipWithIndex.foreach { case (id, i) =>
+        if (i > 0) out.byte(',')
+        out.ascii("{\"sensor\":").str(id).ascii(",\"points\":[")
+        points(out, fetched(id))
+        out.ascii("]}")
+      }
+      out.byte(']')
+    })
+  }
 
   /** The indices of the `k` CAPs of highest support, earlier first among
     * equal supports (what a stable sort by descending support would pick).

@@ -8,8 +8,10 @@ import scala.collection.mutable
 import scala.util.Random
 
 import com.fasterxml.jackson.databind.ObjectMapper
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.HashPartitioner
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.StructType
 import org.apache.spark.unsafe.types.UTF8String
 
 import repro.SparkSpec
@@ -21,9 +23,31 @@ import repro.data.SmartCityData
 /** The CAP list and GeoJSON writers as they were before the CAP table:
   * `JValue` trees over the CAPs sorted by their joined lists, rendered by
   * one `StringBuilder` walk and encoded as UTF-8. Kept as the oracle of the
-  * byte writers.
+  * byte writers, with the series query as it was before the series were
+  * read off the stage 1–2 shuffle.
   */
 private object TreeExport {
+
+  /** One CAP's series payload from a DataFrame query: its sensors' rows,
+    * times formatted by `date_format` in the session time zone, each
+    * sensor's points sorted by that text, then by time.
+    */
+  def seriesJson(data: DataFrame, cap: Cap): Array[Byte] = {
+    val rows = data
+      .where(col("id").isin(cap.sensors.distinct: _*))
+      .select(col("id").cast("string"), date_format(col("time"), "yyyy-MM-dd HH:mm:ss"), unix_micros(col("time")),
+        col("data").cast("double"))
+      .collect()
+    val bySensor = rows.groupBy(_.getString(0)).view.mapValues(_.sortBy(r => (r.getString(1), r.getLong(2)))).toMap
+    bytes(JArr(cap.sensors.filter(bySensor.contains).sorted.map { id =>
+      Json.obj(
+        "sensor" -> JStr(id),
+        "points" -> JArr(bySensor(id).toIndexedSeq.map { r =>
+          Json.arr(JStr(r.getString(1)), if (r.isNullAt(3)) JNull else JNum(r.getDouble(3)))
+        }),
+      )
+    }))
+  }
 
   def capsJson(caps: Seq[Cap]): Array[Byte] = bytes(JArr(sorted(caps).zipWithIndex.map { case (c, i) =>
     Json.obj(
@@ -192,15 +216,18 @@ class JsonExportSpec extends SparkSpec {
   private def sha256(path: java.nio.file.Path): String =
     MessageDigest.getInstance("SHA-256").digest(Files.readAllBytes(path)).map("%02x".format(_)).mkString
 
+  /** Runs `body` with the session time zone set to `zone`. */
+  private def inZone[T](zone: String)(body: => T): T = {
+    val key = "spark.sql.session.timeZone"
+    val before = spark.conf.get(key)
+    spark.conf.set(key, zone)
+    try body finally spark.conf.set(key, before)
+  }
+
   /** Runs `body` with the session time zone set to UTC, so formatted
     * times do not depend on the machine's zone.
     */
-  private def inUtc[T](body: => T): T = {
-    val key = "spark.sql.session.timeZone"
-    val before = spark.conf.get(key)
-    spark.conf.set(key, "UTC")
-    try body finally spark.conf.set(key, before)
-  }
+  private def inUtc[T](body: => T): T = inZone("UTC")(body)
 
   test("writeAll's payload bytes are pinned for the Santander sf=0.05 request") {
     val digests = inUtc {
@@ -262,6 +289,125 @@ class JsonExportSpec extends SparkSpec {
         ds.locations.unpersist()
       }
     }
+  }
+
+  /** Half-hourly readings of every name in [[CapTableSpec.trickyNames]]
+    * from 2020-11-01 00:00 UTC, with step 3 absent for every sensor (a hole
+    * in the grid) and every fourth reading null. In America/New_York the
+    * clocks fall back at 06:00 UTC, so 05:00 and 06:00 UTC both read 01:00,
+    * 05:30 and 06:30 UTC both read 01:30, and text order is not time order.
+    * The rows arrive shuffled over 3 input partitions.
+    */
+  private def fallBackFrame(): DataFrame = {
+    val start = java.time.Instant.parse("2020-11-01T00:00:00Z")
+    val rows = for {
+      (id, s) <- CapTableSpec.trickyNames.zipWithIndex
+      t <- 0 until 24 if t != 3
+    } yield Row(id, "light", java.sql.Timestamp.from(start.plusSeconds(1800L * t)),
+      if ((t + s) % 4 == 0) null else Double.box(s * 10.0 + t * 0.5))
+    val schema = StructType.fromDDL("id STRING, attribute STRING, time TIMESTAMP, data DOUBLE")
+    val data = spark.createDataFrame(spark.sparkContext.parallelize(new Random(11).shuffle(rows), 3), schema)
+    val partitionsPerSensor = data.select(col("id"), spark_partition_id().as("p")).distinct()
+      .groupBy("id").count().collect().map(_.getLong(1))
+    assert(partitionsPerSensor.length == CapTableSpec.trickyNames.length && partitionsPerSensor.forall(_ == 3))
+    data
+  }
+
+  private def fallBackLocations(): DataFrame =
+    TinyWorld.locDf(spark, CapTableSpec.trickyNames.map(id => (id, "light", 43.46, -3.80)))
+
+  /** Top 3 CAPs over the tricky names, by support: unsorted sensors and one
+    * without readings, a repeated sensor, every name. A fourth CAP is not
+    * in the top 3.
+    */
+  private val fallBackCaps = {
+    val names = CapTableSpec.trickyNames
+    Seq(
+      Cap(Seq("light"), Seq(names(7), names(0), "absent", names(5)), 9),
+      Cap(Seq("light"), Seq(names(1), names(20), names(1)), 8),
+      Cap(Seq("light"), names, 7),
+      Cap(Seq("light"), Seq(names(3)), 1),
+    )
+  }
+
+  /** Writes `caps`' payloads and checks each series file against the
+    * DataFrame query in the session's current zone; returns the files.
+    */
+  private def seriesMatchQuery(caps: Seq[Cap], locs: DataFrame, data: DataFrame): Map[String, Seq[Byte]] = {
+    val dir = Files.createTempDirectory("viz-series-query")
+    JsonExport.writeAll(dir.toString, caps, locs, data)
+    val got = payloads(dir)
+    caps.sortBy(-_.support).take(3).zipWithIndex.foreach { case (cap, i) =>
+      assert(got(s"series-$i.json") == TreeExport.seriesJson(data, cap).toSeq,
+        s"series-$i.json in ${spark.conf.get("spark.sql.session.timeZone")}")
+    }
+    got
+  }
+
+  test("series files are the bytes of the DataFrame query, in UTC and across a New York fall-back") {
+    val (data, locs) = (fallBackFrame(), fallBackLocations())
+    val newYork = inZone("America/New_York")(seriesMatchQuery(fallBackCaps, locs, data))
+    val utc = inUtc(seriesMatchQuery(fallBackCaps, locs, data))
+    val points = mapper.readTree(newYork("series-2.json").toArray).get(1).get("points")
+    val times = (0 until points.size()).map(points.get(_).get(0).asText())
+    assert(times.count(_ == "2020-11-01 01:00:00") == 2 && times.count(_ == "2020-11-01 01:30:00") == 2)
+    assert(times.length == 23 && times == times.sorted && newYork != utc)
+  }
+
+  test("a persisted frame's series follow a change of session time zone between calls") {
+    val (data, locs) = (fallBackFrame(), fallBackLocations())
+    data.persist()
+    try {
+      val utc = inUtc(seriesMatchQuery(fallBackCaps, locs, data))
+      val newYork = inZone("America/New_York")(seriesMatchQuery(fallBackCaps, locs, data))
+      assert(newYork("series-0.json") != utc("series-0.json"))
+      assert(inUtc(seriesMatchQuery(fallBackCaps, locs, data)) == utc)
+    } finally data.unpersist()
+  }
+
+  test("on persisted frames writeAll runs one job, one task per partition holding a top CAP's sensor") {
+    val (data, locs) = (fallBackFrame(), fallBackLocations())
+    val partitioner = new HashPartitioner(spark.sparkContext.defaultParallelism)
+    val names = CapTableSpec.trickyNames
+    val (same, other) = names.partition(partitioner.getPartition(_) == partitioner.getPartition(names(0)))
+    val caps = Seq(
+      Cap(Seq("light"), same.take(2), 3),
+      Cap(Seq("light"), other.take(1) :+ "absent", 2),
+      Cap(Seq("light"), same.take(1), 1),
+    )
+    val partitions = caps.flatMap(_.sensors).distinct.map(partitioner.getPartition).distinct.size
+    data.persist()
+    locs.persist()
+    try {
+      inUtc {
+        // The first call shuffles the readings and collects the registry.
+        JsonExport.writeAll(Files.createTempDirectory("viz-shape").toString, caps, locs, data)
+        val dir = Files.createTempDirectory("viz-shape")
+        val (_, run) = observe("series-read")(JsonExport.writeAll(dir.toString, caps, locs, data))
+        assert(run.jobs.size == 1, s"${run.jobs.size} Spark jobs")
+        val (results, shuffleMaps) = run.stages.partition(_.stageId == run.jobs.head.stageIds.max)
+        assert(shuffleMaps.isEmpty, s"shuffle map stages run: ${shuffleMaps.map(_.name)}")
+        assert(results.map(_.numTasks) == Seq(partitions) && run.tasks.size == partitions,
+          s"tasks ${results.map(_.numTasks)} for $partitions partitions")
+        caps.zipWithIndex.foreach { case (cap, i) =>
+          assert(Files.readAllBytes(dir.resolve(s"series-$i.json")).toSeq == TreeExport.seriesJson(data, cap).toSeq)
+        }
+      }
+    } finally {
+      data.unpersist()
+      locs.unpersist()
+    }
+  }
+
+  test("writeAll with no CAPs runs no Spark job and deletes the series files of an earlier run") {
+    val (data, locs) = (fallBackFrame(), fallBackLocations())
+    val dir = Files.createTempDirectory("viz-no-caps")
+    JsonExport.writeAll(dir.toString, fallBackCaps, locs, data)
+    assert(payloads(dir).keySet.count(_.startsWith("series-")) == 3)
+    val (written, run) = observe("no-caps")(JsonExport.writeAll(dir.toString, Nil, locs, data))
+    assert(run.jobs.isEmpty, s"${run.jobs.size} Spark jobs")
+    assert(payloads(dir).keySet == Set("caps.json", "sensors.geojson") && written.size == 2)
+    assert(new String(Files.readAllBytes(dir.resolve("caps.json")), UTF_8) == "[]")
   }
 
   test("writeAll gives a sensor with a null coordinate a null geometry") {
