@@ -5,7 +5,7 @@ import java.nio.charset.StandardCharsets.UTF_8
 import java.nio.file.{Files, NoSuchFileException, Path, Paths, StandardCopyOption}
 import java.security.MessageDigest
 
-import org.apache.spark.sql.{Dataset, Encoders, SparkSession}
+import org.apache.spark.sql.{Dataset, SparkSession}
 
 import repro.core.{Cap, CapParams, CapTable}
 
@@ -123,7 +123,7 @@ final class CapCache(root: String) {
 
   /** The stored result for (dataset, params), if any. */
   def get(spark: SparkSession, dataset: String, params: CapParams): Option[Dataset[Cap]] =
-    load(dataset, params).map(spark.createDataset(_)(Encoders.product[Cap]))
+    load(dataset, params).map(spark.createDataset(_)(Cap.encoder))
 
   /** The interactive-analysis entry point: serve from the store when the
     * user re-submits known parameters, otherwise run MISCELA once, persist

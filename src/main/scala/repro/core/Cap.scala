@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.{Encoder, Encoders}
+
 /** Sign policy for co-evolution of a sensor set at a timestamp.
   *
   *  - [[SignPolicy.SameSign]] (MISCELA's default): all sensors evolve *and*
@@ -70,3 +72,12 @@ final case class CapParams(
   * @param support    number of timestamps at which all sensors co-evolve
   */
 final case class Cap(attributes: Seq[String], sensors: Seq[String], support: Long)
+
+object Cap {
+
+  /** The one Dataset encoder of [[Cap]], derived on first use: a derivation
+    * reflects over the case class and takes milliseconds, so `mine` and the
+    * cache share this one rather than derive one per call.
+    */
+  lazy val encoder: Encoder[Cap] = Encoders.product[Cap]
+}

@@ -46,13 +46,18 @@ final class GridSeries(val t: Array[Int], val values: Array[Double], val present
   *    ([[TimeIndex]]); a second job over the same shuffle output maps each
   *    sensor's readings onto the grid, then sorts, forward-fills and
   *    smooths the series ([[LinearSegmentation.series]]) and diffs it
-  *    against ε ([[EvolvingTimestamps.events]]). A sensor with fewer than
-  *    ψ evolving timestamps can never appear in a CAP (a set's support is
-  *    bounded by each member's own support), so it is dropped there; the
-  *    survivors' plus/minus index lists are collected. Neither the shuffle
-  *    nor the grid depends on the parameters, so for a persisted `data`
-  *    frame both are kept while it stays persisted, and a later call runs
-  *    only the second job, without the shuffle's map stage;
+  *    against ε ([[EvolvingTimestamps.events]]). The plus/minus index
+  *    lists of every sensor that evolves at all are collected. A sensor
+  *    with fewer than ψ evolving timestamps can never appear in a CAP (a
+  *    set's support is bounded by each member's own support), so the
+  *    driver drops it before stage 3. Neither the shuffle nor the grid
+  *    depends on the parameters, and the lists depend only on ε and δ. So
+  *    for a persisted `data` frame the shuffle and grid are kept while it
+  *    stays persisted, and so are the lists of the last (ε, δ), keyed by
+  *    the frame's Spark cache entry plus the exact (ε, δ) pair. A later
+  *    call with another (ε, δ) runs only the second job, without the
+  *    shuffle's map stage; a call that changes only ψ, μ, η, maxSensors or
+  *    the sign policy runs no stage 1–2 job at all;
   *  - stage 3 runs on the driver over the collected sensor registry
   *    ([[registry]], collected once for a persisted `locations` frame):
   *    the η-proximity join ([[SpatialJoin.pairs]]) and union-find
@@ -63,7 +68,7 @@ final class GridSeries(val t: Array[Int], val values: Array[Double], val present
   *    numbered in component order and dealt round-robin to
   *    min(defaultParallelism, units) tasks. One large component is thus
   *    searched on every core, and many small ones share a few tasks.
-    *    [[CapTable.collect]] has each task put its CAPs in one [[CapTable]],
+  *    [[CapTable.collect]] has each task put its CAPs in one [[CapTable]],
   *    and the driver merges the tasks' tables.
   *
   * The temporal chart's series ([[series]]) are read off the same stage
@@ -106,30 +111,31 @@ object Miscela {
         Array.concat(rs.map(_.present): _*))
     }
 
-  /** Values computed from one frame's rows alone, kept while that frame
-    * stays persisted. The key is the frame's entry in Spark's cache, its
-    * `InMemoryRelation`, which `unpersist()` drops and a later `persist()`
-    * replaces with a new one, so a value is never served for rows read
-    * before that. A frame that is not persisted has no entry and gets a
-    * fresh value on every call. One value is kept, for the last persisted
-    * frame seen; a call on another persisted frame replaces it. Concurrent
+  /** Values computed from one frame's rows alone, or from its rows and a
+    * key, kept while that frame stays persisted. The frame's part of the
+    * key is its entry in Spark's cache, its `InMemoryRelation`, which
+    * `unpersist()` drops and a later `persist()` replaces with a new one,
+    * so a value is never served for rows read before that. A frame that is
+    * not persisted has no entry and gets a fresh value on every call. One
+    * value is kept, for the last (persisted frame, key) seen; a call on
+    * another persisted frame, or with another key, replaces it. Concurrent
     * callers build under one lock, so a second caller waits for the value
     * the first one builds.
     */
-  private final class PerPersistedFrame[A] {
-    private var kept: Option[(AnyRef, A)] = None
+  private final class PerPersistedFrame[K, A] {
+    private var kept: Option[(AnyRef, K, A)] = None
 
-    def apply(frame: DataFrame)(build: => A): A = {
+    def apply(frame: DataFrame, key: K)(build: => A): A = {
       val ds = castToImpl(frame)
       ds.sparkSession.sharedState.cacheManager.lookupCachedData(ds) match {
         case None => build
         case Some(entry) =>
           synchronized {
             kept match {
-              case Some((key, value)) if key eq entry.cachedRepresentation => value
+              case Some((cached, k, value)) if (cached eq entry.cachedRepresentation) && k == key => value
               case _ =>
                 val value = build
-                kept = Some((entry.cachedRepresentation, value))
+                kept = Some((entry.cachedRepresentation, key, value))
                 value
             }
           }
@@ -148,7 +154,7 @@ object Miscela {
     * kept ([[PerPersistedFrame]]): a later job over the kept RDD reads its
     * shuffle files, and Spark skips the map stage. No block is persisted.
     */
-  private def prepare(data: DataFrame): (RDD[(String, Readings)], Array[Long]) = preparedData(data) {
+  private def prepare(data: DataFrame): (RDD[(String, Readings)], Array[Long]) = preparedData(data, ()) {
     val shuffled = data
       .select(col("id").cast("string"), unix_micros(col("time")), col("data").cast("double"))
       .rdd
@@ -160,27 +166,36 @@ object Miscela {
     (shuffled, TimeIndex.grid(Array.concat(perPartition: _*)))
   }
 
-  private val preparedData = new PerPersistedFrame[(RDD[(String, Readings)], Array[Long])]
+  private val preparedData = new PerPersistedFrame[Unit, (RDD[(String, Readings)], Array[Long])]
 
   /** Stages 1–2 for every sensor of `data` (id, attribute, time, data):
     * (id, plus, minus) indices on the time grid of its evolving timestamps,
     * for the sensors with at least ψ of them, and the number of timestamps
     * on the grid. One job over the shuffled readings ([[prepare]]) runs
-    * the stage 1–2 kernel per sensor.
+    * the stage 1–2 kernel per sensor and collects the lists of every sensor
+    * with an evolving timestamp. They depend on ε and δ alone, so for a
+    * persisted frame the lists of the last (ε, δ) are kept
+    * ([[PerPersistedFrame]]) and a call with the same pair runs no job.
+    * The ψ prune runs on the driver, over the kept lists.
     */
   private def evolution(data: DataFrame, params: CapParams): (Array[(String, Array[Int], Array[Int])], Int) = {
-    val (shuffled, grid) = prepare(data)
-    val evolved = shuffled
-      .mapPartitions(merged)
-      .flatMap { case (id, r) =>
-        val t = r.micros.map(TimeIndex.indexOf(grid, _))
-        val (plus, minus) =
-          EvolvingTimestamps.events(LinearSegmentation.series(t, r.values, r.present, params.delta), params.epsilon)
-        if (plus.length + minus.length < params.psi) None else Some((id, plus, minus))
-      }
-      .collect()
-    (evolved, grid.length)
+    val (evolved, nT) = evolvedData(data, (params.epsilon, params.delta)) {
+      val (shuffled, grid) = prepare(data)
+      val evolved = shuffled
+        .mapPartitions(merged)
+        .flatMap { case (id, r) =>
+          val t = r.micros.map(TimeIndex.indexOf(grid, _))
+          val (plus, minus) =
+            EvolvingTimestamps.events(LinearSegmentation.series(t, r.values, r.present, params.delta), params.epsilon)
+          if (plus.isEmpty && minus.isEmpty) None else Some((id, plus, minus))
+        }
+        .collect()
+      (evolved, grid.length)
+    }
+    (evolved.filter(s => s._2.length + s._3.length >= params.psi), nT)
   }
+
+  private val evolvedData = new PerPersistedFrame[(Double, Double), (Array[(String, Array[Int], Array[Int])], Int)]
 
   /** The readings of each sensor in `ids` that `data` (id, attribute,
     * time, data) holds, with the time grid they are indexed on. One job
@@ -208,7 +223,7 @@ object Miscela {
     * Stage 3 and the GeoJSON layer both read it; for a persisted frame it
     * is collected once ([[PerPersistedFrame]]).
     */
-  def registry(locations: DataFrame): IndexedSeq[SensorLocation] = collectedRegistry(locations) {
+  def registry(locations: DataFrame): IndexedSeq[SensorLocation] = collectedRegistry(locations, ()) {
     def coordinate(r: Row, i: Int) = if (r.isNullAt(i)) None else Some(r.getDouble(i))
     locations
       .select(col("id").cast("string"), col("attribute").cast("string"),
@@ -221,7 +236,7 @@ object Miscela {
       .toIndexedSeq
   }
 
-  private val collectedRegistry = new PerPersistedFrame[IndexedSeq[SensorLocation]]
+  private val collectedRegistry = new PerPersistedFrame[Unit, IndexedSeq[SensorLocation]]
 
   /** Stages 1–3 on the driver: each component holding a sensor that
     * survived the ψ prune, as (sensors, edges between them), in component
@@ -275,10 +290,13 @@ object Miscela {
   /** Full CAP mining: all four stages. Stages 1–3 run when this is called;
     * the search runs when the returned Dataset is evaluated. On `data` and
     * `locations` frames that are persisted and were mined before, stages
-    * 1–3 run one Spark job, the stage 1–2 kernel (see [[Miscela]]). The
-    * Dataset is made from an RDD of CAPs, so [[CapTable.collect]] reads each
-    * task's CAP objects as they are, without encoding them into rows: each
-    * task builds its CAP table, and only the tables cross to the driver.
+    * 1–3 run no Spark job if the last call mined the same `data` frame
+    * with the same ε and δ, and one job, the stage 1–2 kernel, otherwise
+    * (see [[Miscela]]). With unchanged ε and δ, mining plus
+    * [[CapTable.collect]] thus runs one Spark job, stage 4. The Dataset is
+    * made from an RDD of CAPs, so [[CapTable.collect]] reads each task's
+    * CAP objects as they are, without encoding them into rows: each task
+    * builds its CAP table, and only the tables cross to the driver.
     *
     * @param data      measurement records (id, attribute, time, data)
     * @param locations sensor registry (id, attribute, lat, lon)
@@ -293,14 +311,13 @@ object Miscela {
       params: CapParams,
       useNaive: Boolean = false,
   ): Dataset[Cap] = {
-    import spark.implicits._
     val (comps, nT) = assembleComponents(spark, data, locations, params)
     // A lone sensor has no pattern. Every other component contributes one
     // unit per member; `first(c)` is the ordinal of component c's root 0.
     val searched = comps.filter(_._1.length >= 2).toArray
     val first = searched.scanLeft(0)(_ + _._1.length)
     val k = math.max(1, math.min(spark.sparkContext.defaultParallelism, first.last))
-    spark.sparkContext
+    val caps = spark.sparkContext
       .parallelize(0 until k, k)
       .flatMap { j =>
         // Task j searches the units whose ordinal is j modulo k, and builds
@@ -310,7 +327,7 @@ object Miscela {
           else searchAssembled(sensors, edges, nT, params, useNaive, r => (f + r) % k == j)
         }
       }
-      .toDS()
+    spark.createDataset(caps)(Cap.encoder)
   }
 
   /** Builds one assembled component's in-memory structures (see

@@ -4,11 +4,14 @@ import java.nio.charset.StandardCharsets.UTF_8
 import java.nio.file.Files
 import java.util.concurrent.{CountDownLatch, FutureTask, TimeUnit}
 
+import scala.util.Random
+
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{col, spark_partition_id}
 
 import repro.{Oracle, SparkSpec}
 import repro.cache.CapCache
+import repro.data.SmartCityData
 import repro.geo.SpatialJoin
 import repro.graph.ConnectedComponents
 
@@ -382,6 +385,127 @@ class MiscelaSpec extends SparkSpec {
     } finally {
       data.unpersist()
       locs.unpersist()
+    }
+  }
+
+  test("a lower psi with the same epsilon and delta brings back the sensors a higher psi pruned, with no job") {
+    val (data, locs) = world()
+    // jumpsA has 5 events and jumpsB 2: psi = 3 prunes a3, b1 and b2.
+    val high = CapParams(epsilon = 1.0, etaKm = 0.5, mu = 3, psi = 3, maxSensors = 3)
+    val low = high.copy(psi = 2)
+    val want = CapTable.collect(Miscela.mine(spark, data, locs, low))
+    def ids(assembled: (Seq[(Array[CompSensor], Array[CompEdge])], Int)) = assembled._1.flatMap(_._1).map(_.id).sorted
+    data.persist()
+    locs.persist()
+    try {
+      assert(ids(Miscela.assembleComponents(spark, data, locs, high)) == Seq("a1", "a2"))
+      val (assembled, run) = observe("lower-psi")(Miscela.assembleComponents(spark, data, locs, low))
+      assert(run.jobs.isEmpty, s"${run.jobs.size} Spark jobs for stages 1-3")
+      assert(ids(assembled) == Seq("a1", "a2", "a3", "b1", "b2"))
+      val (caps, mining) = observe("lower-psi-mine")(CapTable.collect(Miscela.mine(spark, data, locs, low)))
+      assert(mining.jobs.size == 1, s"${mining.jobs.size} Spark jobs to mine (stage 4)")
+      assert(caps == want && caps.names.exists(_.startsWith("b")))
+    } finally {
+      data.unpersist()
+      locs.unpersist()
+    }
+  }
+
+  test("on a persisted frame the event lists follow epsilon and delta flipping back and forth") {
+    // As in "delta smoothing …": wiggles of ±2 evolve at ε = 1 unless δ = 3
+    // smooths them or ε = 3 ignores them; the 10-step evolves throughout.
+    val wiggly = Seq(0.0, 2.0, 0.0, 2.0, 0.0, 12.0, 14.0, 12.0, 14.0, 12.0).map(Some(_))
+    val partner = Seq(0.0, 0.0, 0.0, 0.0, 0.0, 10.0, 10.0, 10.0, 10.0, 10.0).map(Some(_))
+    val data = dataDf(spark, Map(("w", "temperature") -> wiggly, ("p", "trafficVolume") -> partner))
+    val locs = locDf(spark, Seq(("w", "temperature", 0.0, 0.0), ("p", "trafficVolume", 0.0001, 0.0)))
+    val base = CapParams(epsilon = 1.0, etaKm = 1.0, psi = 1, maxSensors = 2)
+    val session = Seq(base, base.copy(delta = 3.0), base, base.copy(epsilon = 3.0), base.copy(psi = 2), base)
+    val unpersisted = session.distinct.map(p => p -> comparable(Miscela.assembleComponents(spark, data, locs, p))).toMap
+    assert(session.zip(session.tail).forall { case (a, b) => unpersisted(a) != unpersisted(b) },
+      "each request must move the lists")
+    data.persist()
+    locs.persist()
+    try session.foreach(p => assert(comparable(Miscela.assembleComponents(spark, data, locs, p)) == unpersisted(p), p))
+    finally {
+      data.unpersist()
+      locs.unpersist()
+    }
+  }
+
+  /** Santander sf = 0.05 (T2's dataset), written to Parquet twice and read
+    * back: two (data, locations) copies of the same rows whose plans
+    * differ, so persisting one leaves the other unpersisted.
+    */
+  private lazy val santanderCopies: Seq[(DataFrame, DataFrame)] = {
+    val ds = SmartCityData.santander(spark, 0.05)
+    val dir = Files.createTempDirectory("retune")
+    Seq("persisted", "unpersisted").map { copy =>
+      def written(frame: DataFrame, name: String) = {
+        val path = dir.resolve(s"$copy-$name").toString
+        frame.write.parquet(path)
+        spark.read.parquet(path)
+      }
+      (written(ds.data, "data"), written(ds.locations, "locations"))
+    }
+  }
+
+  /** An analyst's seeded session of `n` requests over T2's value grids:
+    * each request after the first changes one of ε, δ, ψ, μ, η, maxSensors
+    * or the sign policy to another value of its grid, ε or δ half the time.
+    * Half the changes of ε or δ instead return to the (ε, δ) pair before
+    * the current one, so the pair flips back and forth.
+    */
+  private def retunes(rnd: Random, n: Int): Seq[CapParams] = {
+    def other[A](values: Seq[A], now: A): A = {
+      val others = values.filter(_ != now)
+      others(rnd.nextInt(others.length))
+    }
+    val changes: IndexedSeq[CapParams => CapParams] = IndexedSeq(
+      p => p.copy(epsilon = other(Seq(0.5, 2.0, 10.5, 16.0), p.epsilon)),
+      p => p.copy(delta = other(Seq(0.0, 0.5), p.delta)),
+      p => p.copy(psi = other(Seq(20, 100, 300), p.psi)),
+      p => p.copy(mu = other(Seq(2, 3), p.mu)),
+      p => p.copy(etaKm = other(Seq(0.05, 0.2, 0.5, 2.0), p.etaKm)),
+      p => p.copy(maxSensors = other(Seq(2, 3, 4), p.maxSensors)),
+      p => p.copy(signPolicy = other(Seq(SignPolicy.SameSign, SignPolicy.AnySign), p.signPolicy)),
+    )
+    def pair(p: CapParams) = (p.epsilon, p.delta)
+    val start = CapParams(epsilon = 2.0, etaKm = 0.5, mu = 3, psi = 20, maxSensors = 3)
+    // (request, the request whose pair preceded the request's own pair)
+    Iterator.iterate((start, start)) { case (p, before) =>
+      val i = if (rnd.nextBoolean()) rnd.nextInt(2) else 2 + rnd.nextInt(changes.length - 2)
+      val next =
+        if (i < 2 && pair(before) != pair(p) && rnd.nextBoolean()) p.copy(epsilon = before.epsilon, delta = before.delta)
+        else changes(i)(p)
+      (next, if (pair(next) == pair(p)) before else p)
+    }.map(_._1).take(n).toSeq
+  }
+
+  Seq(1, 2, 3).foreach { seed =>
+    test(s"property: re-tuned requests on a persisted frame equal mine on an unpersisted copy (seed $seed)") {
+      val requests = retunes(new Random(seed), 14)
+      val pairs = requests.map(p => (p.epsilon, p.delta))
+      val pairChanges = pairs.zip(pairs.tail).collect { case (a, b) if a != b => b }
+      // The session must both keep and change (ε, δ), and return to a pair.
+      assert(pairs.zip(pairs.tail).exists { case (a, b) => a == b }, pairs)
+      assert((pairs.head +: pairChanges).sliding(3).exists(w => w.length == 3 && w(0) == w(2)), pairs)
+      val Seq((data, locs), (coldData, coldLocs)) = santanderCopies
+      data.persist()
+      locs.persist()
+      try {
+        val sizes = requests.map { p =>
+          val got = CapTable.collect(Miscela.mine(spark, data, locs, p))
+          assert(got == CapTable.collect(Miscela.mine(spark, coldData, coldLocs, p)), p)
+          // Stages 1-3 too: the ψ-pruned event lists and components.
+          assert(comparable(Miscela.assembleComponents(spark, data, locs, p)) ==
+            comparable(Miscela.assembleComponents(spark, coldData, coldLocs, p)), p)
+          got.length
+        }
+        assert(sizes.exists(_ > 0), sizes)
+      } finally {
+        data.unpersist()
+        locs.unpersist()
+      }
     }
   }
 

@@ -251,10 +251,11 @@ class JsonExportSpec extends SparkSpec {
     ))
   }
 
-  test("on persisted frames a repeated miss runs 3 Spark jobs and a hit 1, with the unpersisted payloads") {
+  test("on persisted frames a repeated miss runs 2 Spark jobs and a hit 1, with the unpersisted payloads") {
     inUtc {
       val ds = SmartCityData.santander(spark, 0.05)
       val params = CapParams(epsilon = 1.0, etaKm = 0.5, mu = 3, psi = 50, maxSensors = 4)
+      val otherEpsilon = params.copy(epsilon = 2.0)
       def request(cache: CapCache): (Boolean, Map[String, String]) = {
         val (caps, hit) = cache.getOrCompute(spark, ds.name, params) {
           Miscela.mine(spark, ds.data, ds.locations, params)
@@ -268,6 +269,7 @@ class JsonExportSpec extends SparkSpec {
       // Before persisting: another frame over the same plan would find the
       // same cache entry.
       val (_, unpersisted) = request(store())
+      val unpersistedOtherEpsilon = CapTable.collect(Miscela.mine(spark, ds.data, ds.locations, otherEpsilon))
       ds.data.persist()
       ds.locations.persist()
       try {
@@ -276,11 +278,21 @@ class JsonExportSpec extends SparkSpec {
         val ((caps, hit), mining) = observe("repeated-miss") {
           cache.getOrCompute(spark, ds.name, params)(Miscela.mine(spark, ds.data, ds.locations, params))
         }
-        assert(!hit && mining.jobs.size == 2, s"${mining.jobs.size} Spark jobs to mine (kernel, stage 4)")
+        assert(!hit && mining.jobs.size == 1, s"${mining.jobs.size} Spark jobs to mine (stage 4)")
         val dir = Files.createTempDirectory("viz-persisted")
         val (_, writing) = observe("repeated-miss-export")(JsonExport.writeAll(dir.toString, caps, ds.locations, ds.data))
         assert(writing.jobs.size == 1, s"${writing.jobs.size} Spark jobs in writeAll (the series fetch)")
         assert(unpersisted.forall { case (f, digest) => sha256(dir.resolve(f)) == digest })
+        // A miss under another epsilon runs the stage 1-2 kernel again, over
+        // the kept shuffle.
+        val ((otherCaps, otherHit), retuned) = observe("epsilon-miss") {
+          cache.getOrCompute(spark, ds.name, otherEpsilon)(Miscela.mine(spark, ds.data, ds.locations, otherEpsilon))
+        }
+        assert(!otherHit && retuned.jobs.size == 2, s"${retuned.jobs.size} Spark jobs to mine (kernel, stage 4)")
+        val resultStages = retuned.jobs.map(_.stageIds.max)
+        val shuffleMaps = retuned.stages.filterNot(s => resultStages.contains(s.stageId))
+        assert(shuffleMaps.isEmpty, s"shuffle map stages run: ${shuffleMaps.map(_.name)}")
+        assert(otherCaps == unpersistedOtherEpsilon)
         val ((hitAgain, payloads), served) = observe("hit")(request(cache))
         assert(hitAgain && served.jobs.size == 1, s"${served.jobs.size} Spark jobs on a hit (the series fetch)")
         assert(payloads == unpersisted)
