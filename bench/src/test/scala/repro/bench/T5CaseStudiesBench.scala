@@ -46,7 +46,7 @@ class T5CaseStudiesBench extends SparkSpec {
   // -----------------------------------------------------------------
   private lazy val china = SmartCityData.china6(spark, 0.005)
   private lazy val chinaCaps = Miscela.mine(spark, china.data, china.locations,
-    CapParams(epsilon = 1.0, etaKm = 450.0, psi = 20, mu = 3, maxSensors = 3)).collect().toSeq
+    CapParams(epsilon = 1.0, etaKm = 450.0, psi = 20, mu = 3, maxSensors = 3))
   private lazy val chinaRows = T5Cases.classifyChina(spark, china, chinaCaps)
 
   test("T5b: print the China classification") {

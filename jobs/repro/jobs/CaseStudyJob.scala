@@ -23,7 +23,6 @@ object CaseStudyJob {
       val china = SmartCityData.china6(spark, a.dbl("china-sf", 0.005))
       val chinaParams = CapParams(etaKm = 450.0, psi = 20, mu = 3, maxSensors = 3)
       val chinaCaps = repro.core.Miscela.mine(spark, china.data, china.locations, chinaParams)
-        .collect().toSeq
       println(T5Cases.chinaTable(T5Cases.classifyChina(spark, china, chinaCaps),
         "T5b China east-west vs north-south"))
 

@@ -32,11 +32,10 @@ import repro.core.{Cap, CapParams, CapTable}
   * it is either whole or absent. A file that does not decode, such as an
   * empty or cut-off one, is a miss, and the next put replaces it.
   *
-  * [[getOrCompute]] keeps the CAPs a [[CapTable]] on the driver; [[get]]
-  * and [[put]] adapt the one decoder and encoder to a `Dataset[Cap]`. Both
-  * `getOrCompute` and `put` collect the mining Dataset with
-  * [[CapTable.collect]]: each of its tasks builds a table of its own CAPs,
-  * and the driver merges the tables without building a [[Cap]].
+  * [[getOrCompute]] takes and serves the CAPs as a [[CapTable]], the form
+  * `Miscela.mine` returns, so a miss runs no Spark job of its own. [[get]]
+  * and [[put]] adapt the one decoder and encoder to a `Dataset[Cap]`; `put`
+  * collects its Dataset on the driver.
   */
 final class CapCache(root: String) {
 
@@ -79,7 +78,7 @@ final class CapCache(root: String) {
     * concurrent puts for the same key, one entry survives.
     */
   def put(dataset: String, params: CapParams, caps: Dataset[Cap]): Unit =
-    write(dataset, params, CapTable.collect(caps))
+    write(dataset, params, CapTable(caps.collect().toIndexedSeq))
 
   private def write(dataset: String, params: CapParams, caps: CapTable): Unit = {
     val (file, material) = entryOf(dataset, params)
@@ -127,20 +126,20 @@ final class CapCache(root: String) {
 
   /** The interactive-analysis entry point: serve from the store when the
     * user re-submits known parameters, otherwise run MISCELA once, persist
-    * its CAPs and serve those. A hit calls no Spark API; a miss collects
-    * `compute` once, as one CAP table per task, merged on the driver.
-    * Either way the CAPs come back in export order. Returns (caps,
+    * its CAPs and serve those. A hit calls no Spark API and does not
+    * evaluate `compute`; a miss evaluates it once and writes its table as
+    * it is. Either way the CAPs come back in export order. Returns (caps,
     * cacheHit).
     */
   def getOrCompute(
       spark: SparkSession,
       dataset: String,
       params: CapParams,
-  )(compute: => Dataset[Cap]): (CapTable, Boolean) =
+  )(compute: => CapTable): (CapTable, Boolean) =
     load(dataset, params) match {
       case Some(cached) => (cached, true)
       case None =>
-        val caps = CapTable.collect(compute)
+        val caps = compute
         write(dataset, params, caps)
         (caps, false)
     }

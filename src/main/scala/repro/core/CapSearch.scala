@@ -39,12 +39,15 @@ final case class SensorEvents(id: String, attribute: String, plus: Array[Long], 
   * The walk allocates nothing per step. It keeps one intersection row per
   * depth, one `blocked` mark per vertex (vertices tried on this path,
   * members and frontier), the frontier as one shared stack whose child
-  * range is contiguous, and a per-attribute member count for μ; only an
-  * emitted CAP allocates. Recursion depth is at most `maxSensors`.
+  * range is contiguous, and a per-attribute member count for μ. An emitted
+  * CAP is handed on as codes and ranks in two reused arrays, so only
+  * [[enumerate]]'s `Cap` objects allocate per CAP. Recursion depth is at
+  * most `maxSensors`.
   *
   * Subtrees under different roots are independent, so a caller may split
   * one component's search by root: see the `roots` selection and
-  * [[Miscela.mine]], which fans (component, root) units out over tasks.
+  * [[Miscela.mine]], which deals (component, root) units to threads on the
+  * driver, each filling its own [[CapTable.Builder]] ([[enumerateInto]]).
   */
 object CapSearch {
 
@@ -78,9 +81,51 @@ object CapSearch {
       params: CapParams,
       roots: Int => Boolean = _ => true,
   ): Seq[Cap] = {
-    val n = sensors.length
-    if (n < 2) return Nil
     val out = mutable.ArrayBuffer.empty[Cap]
+    walk(sensors, adj, params, roots) { (attributes, ids) => (codes, nCodes, ranks, nRanks, support) =>
+      out += Cap(Seq.tabulate(nCodes)(k => attributes(codes(k))), Seq.tabulate(nRanks)(k => ids(ranks(k))), support)
+    }
+    out.toSeq
+  }
+
+  /** The CAPs of [[enumerate]], added to `into`: the component's names are
+    * interned once, and each CAP goes in as attribute codes and sensor
+    * ranks, with no [[Cap]] or string built.
+    */
+  private[core] def enumerateInto(
+      sensors: Array[SensorEvents],
+      adj: Array[Array[Int]],
+      params: CapParams,
+      into: CapTable.Builder,
+      roots: Int => Boolean = _ => true,
+  ): Unit =
+    walk(sensors, adj, params, roots) { (attributes, ids) =>
+      val attributeNames = into.names(attributes)
+      val sensorNames = into.names(ids)
+      (codes, nCodes, ranks, nRanks, support) =>
+        into.add(codes, nCodes, attributeNames, ranks, nRanks, sensorNames, support)
+    }
+
+  /** Receives each CAP the walk finds: its distinct attributes as ascending
+    * codes into the component's sorted attribute names, then its sensors as
+    * ascending ranks into the component's sorted ids, each array valid up
+    * to the count that follows it, then its support. The arrays are the
+    * walk's own, refilled for the next CAP.
+    */
+  private type Emit = (Array[Int], Int, Array[Int], Int, Long) => Unit
+
+  /** The walk over the component's selected roots. `sink` is given the
+    * component's sorted attribute names and sorted ids, once, and returns
+    * what each CAP is handed to.
+    */
+  private def walk(
+      sensors: Array[SensorEvents],
+      adj: Array[Array[Int]],
+      params: CapParams,
+      roots: Int => Boolean,
+  )(sink: (Array[String], Array[String]) => Emit): Unit = {
+    val n = sensors.length
+    if (n < 2) return
     val sets = sensors.map(bits(_, params.signPolicy))
     val psi = params.psi
     val maxSensors = params.maxSensors
@@ -91,6 +136,7 @@ object CapSearch {
     val byId = sensors.indices.sortBy(sensors(_).id).toArray
     val rankOf = new Array[Int](n)
     byId.indices.foreach(r => rankOf(byId(r)) = r)
+    val emitted = sink(attrNames, byId.map(sensors(_).id))
 
     val rows = Array.fill(maxSensors)(new Array[Long](sets(0).length))
     val members = new Array[Int](maxSensors)
@@ -100,13 +146,25 @@ object CapSearch {
     var distinct = 0
     var root = 0
 
+    val codes = new Array[Int](maxSensors)
+    val ranks = new Array[Int](maxSensors)
+
     def emit(size: Int, support: Int): Unit = {
-      val ranks = Array.tabulate(size)(k => rankOf(members(k)))
-      java.util.Arrays.sort(ranks)
-      val codes = Array.tabulate(size)(k => attrOf(members(k)))
-      java.util.Arrays.sort(codes)
-      val attrs = codes.distinct.map(attrNames(_)).toSeq
-      out += Cap(attrs, ranks.map(r => sensors(byId(r)).id).toSeq, support.toLong)
+      var k = 0
+      while (k < size) {
+        codes(k) = attrOf(members(k))
+        ranks(k) = rankOf(members(k))
+        k += 1
+      }
+      java.util.Arrays.sort(codes, 0, size)
+      java.util.Arrays.sort(ranks, 0, size)
+      var nCodes = 1
+      k = 1
+      while (k < size) {
+        if (codes(k) != codes(nCodes - 1)) { codes(nCodes) = codes(k); nCodes += 1 }
+        k += 1
+      }
+      emitted(codes, nCodes, ranks, size, support.toLong)
     }
 
     /** Pushes the unblocked neighbours of `w` above the root onto the stack
@@ -176,6 +234,5 @@ object CapSearch {
       }
       root += 1
     }
-    out.toSeq
   }
 }

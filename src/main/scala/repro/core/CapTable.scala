@@ -1,17 +1,19 @@
 package repro.core
 
 import java.util.{Arrays, Comparator}
+import java.util.concurrent.atomic.AtomicLong
 
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
-
-import org.apache.spark.sql.Dataset
+import scala.util.control.ControlThrowable
 
 /** A CAP set in export order, as columns: each distinct attribute and
   * sensor id is stored once, in `names`, and every CAP refers to them by
-  * index. This is the one form the CAPs take on the driver after mining:
-  * the cache entry is written from it and decoded back into it, and every
-  * payload is written from it (see `CapCache` and `JsonExport`).
+  * index. This is the one form the CAPs take after mining: [[Miscela.mine]]
+  * returns it, each of its search threads filling a [[CapTable.Builder]]
+  * whose table [[CapTable.merge]] joins; the cache entry is written from
+  * it and decoded back into it, and every payload is written from it (see
+  * `CapCache` and `JsonExport`).
   *
   * Export order sorts CAPs by attribute list, then sensor list (each joined
   * with ","), then support, comparing the joined strings with
@@ -53,6 +55,9 @@ final class CapTable(
 
   private def namesIn(from: Int, until: Int): Seq[String] =
     ArraySeq.unsafeWrapArray(Array.tabulate(until - from)(k => names(members(from + k))))
+
+  /** The CAPs as an array, in export order. */
+  def collect(): Array[Cap] = Array.tabulate(length)(apply)
 }
 
 object CapTable {
@@ -63,7 +68,10 @@ object CapTable {
     */
   def apply(caps: Seq[Cap]): CapTable = caps match {
     case table: CapTable => table
-    case _               => inExportOrder(interned(caps))
+    case _               =>
+      val builder = new Builder
+      caps.foreach(builder += _)
+      builder.result()
   }
 
   /** The CAPs of `tables`, in export order, as one table. The names are the
@@ -98,14 +106,6 @@ object CapTable {
     inExportOrder(new Columns(names, bounds, members, support))
   }
 
-  /** The CAPs of `ds` as one table: each partition builds its own, and only
-    * those tables are collected and merged. A Dataset made from an RDD of
-    * CAPs, as [[Miscela.mine]]'s is, hands its CAP objects to the
-    * partitions as they are, without encoding them into rows.
-    */
-  def collect(ds: Dataset[Cap]): CapTable =
-    merge(ds.rdd.mapPartitions(caps => Iterator(CapTable(caps.toIndexedSeq))).collect().toSeq)
-
   /** The table of the CAPs of `in`, put in export order. */
   private def inExportOrder(in: Columns): CapTable = {
     val order = exportOrder(in)
@@ -133,37 +133,107 @@ object CapTable {
     order
   }
 
-  /** The columns of `caps` in their given order, each name replaced by its
-    * index in the sorted distinct names.
+  /** A number of CAP members that the builders of one search share, and a
+    * flag that stops them all. Each [[Builder]] charges its members in
+    * batches, so that many threads adding many CAPs rarely meet here.
     */
-  private def interned(caps: Seq[Cap]): Columns = {
-    val index = new java.util.HashMap[String, Integer]
-    val seen = ArrayBuffer.empty[String]
-    val bounds = new Array[Int](2 * caps.length + 1)
-    val members = new ArrayBuilder.ofInt
-    val support = new Array[Long](caps.length)
-    def add(name: String): Unit = {
-      val known = index.get(name)
-      if (known != null) members += known.intValue
+  private[core] final class Budget(val limit: Long) {
+    private val spent = new AtomicLong
+    @volatile private var stop = false
+
+    def charge(members: Long): Unit = if (spent.addAndGet(members) > limit) stop = true
+    def halt(): Unit = stop = true
+    def halted: Boolean = stop
+    def exceeded: Boolean = spent.get > limit
+  }
+
+  /** Thrown by a [[Builder]] whose [[Budget]] is spent or halted; it
+    * unwinds the search that is adding CAPs, and carries no message.
+    */
+  private[core] object Halted extends ControlThrowable
+
+  /** Builds a table from CAPs added one at a time, in any order. A name is
+    * interned when it is first seen: a search registers a component's
+    * names once ([[names]]) and adds each CAP as indices ([[add]]), so no
+    * string is hashed per CAP. Every 1,024 CAPs the builder charges their
+    * members to `budget`, and throws [[Halted]] once the budget is spent
+    * or halted. [[result]] puts the CAPs in export order. One builder is
+    * filled by one thread.
+    */
+  private[core] final class Builder(budget: Budget = new Budget(Long.MaxValue)) {
+    private val index = new java.util.HashMap[String, Integer]
+    private val seen = ArrayBuffer.empty[String]
+    private val bounds = new ArrayBuilder.ofInt
+    private val members = new ArrayBuilder.ofInt
+    private val support = new ArrayBuilder.ofLong
+    private var uncharged = 0 // CAPs added since the last charge
+    private var charged = 0   // members charged so far
+    bounds += 0
+
+    /** The number of CAPs added. */
+    def length: Int = support.length
+
+    /** The builder's index of each of `ns`. */
+    def names(ns: Array[String]): Array[Int] = ns.map(intern)
+
+    private def intern(name: String): Int = {
+      val known = index.putIfAbsent(name, seen.length)
+      if (known != null) known.intValue
       else {
-        index.put(name, seen.length)
-        members += seen.length
         seen += name
+        seen.length - 1
       }
     }
-    var i = 0
-    caps.foreach { c =>
-      c.attributes.foreach(add)
-      bounds(2 * i + 1) = members.length
-      c.sensors.foreach(add)
-      bounds(2 * i + 2) = members.length
-      support(i) = c.support
-      i += 1
+
+    /** Adds the CAP whose attributes are `attributeNames(codes(k))` and
+      * whose sensors are `sensorNames(ranks(k))`, for k below `nCodes` and
+      * `nRanks`; the name tables hold indices from [[names]].
+      */
+    def add(codes: Array[Int], nCodes: Int, attributeNames: Array[Int], ranks: Array[Int], nRanks: Int,
+        sensorNames: Array[Int], support: Long): Unit = {
+      var k = 0
+      while (k < nCodes) { members += attributeNames(codes(k)); k += 1 }
+      bounds += members.length
+      k = 0
+      while (k < nRanks) { members += sensorNames(ranks(k)); k += 1 }
+      added(support)
     }
-    val names = seen.toArray.sorted
-    val rank = new Array[Int](names.length)
-    names.indices.foreach(r => rank(index.get(names(r))) = r)
-    new Columns(names, bounds, members.result().map(rank(_)), support)
+
+    /** Adds `cap`, interning each of its names. */
+    def +=(cap: Cap): this.type = {
+      cap.attributes.foreach(a => members += intern(a))
+      bounds += members.length
+      cap.sensors.foreach(s => members += intern(s))
+      added(cap.support)
+      this
+    }
+
+    private def added(support: Long): Unit = {
+      bounds += members.length
+      this.support += support
+      uncharged += 1
+      if (uncharged == 1024) {
+        budget.charge(members.length - charged)
+        charged = members.length
+        uncharged = 0
+        if (budget.halted) throw Halted
+      }
+    }
+
+    /** The CAPs added, in export order; names that no CAP holds are left
+      * out.
+      */
+    def result(): CapTable = {
+      val ms = members.result()
+      val used = new Array[Boolean](seen.length)
+      ms.foreach(used(_) = true)
+      val names = seen.indices.filter(used).map(seen).toArray.sorted
+      val rank = new Array[Int](seen.length)
+      names.indices.foreach(r => rank(index.get(names(r))) = r)
+      var k = 0
+      while (k < ms.length) { ms(k) = rank(ms(k)); k += 1 }
+      inExportOrder(new Columns(names, bounds.result(), ms, support.result()))
+    }
   }
 
   /** A CAP table's columns, in any CAP order. */

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicReference
+
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuilder
 
@@ -62,14 +64,16 @@ final class GridSeries(val t: Array[Int], val values: Array[Double], val present
   *    ([[registry]], collected once for a persisted `locations` frame):
   *    the η-proximity join ([[SpatialJoin.pairs]]) and union-find
   *    components ([[ConnectedComponents.labels]]);
-  *  - stage 4 is one lazy Spark job. Search subtrees under different roots
-  *    are independent ([[CapSearch]]), so the unit of work is a (component,
-  *    root) pair: the units of the components with at least two sensors are
-  *    numbered in component order and dealt round-robin to
-  *    min(defaultParallelism, units) tasks. One large component is thus
-  *    searched on every core, and many small ones share a few tasks.
-  *    [[CapTable.collect]] has each task put its CAPs in one [[CapTable]],
-  *    and the driver merges the tasks' tables.
+  *  - stage 4 runs on the driver's cores, with no Spark job: it reads the
+  *    bitsets of at most a few thousand sensors. Search subtrees under
+  *    different roots are independent ([[CapSearch]]), so the unit of work
+  *    is a (component, root) pair: the units of the components with at
+  *    least two sensors are numbered in component order and dealt
+  *    round-robin to min(defaultParallelism, units) threads ([[deal]]). One
+  *    large component is thus searched on every core, and many small ones
+  *    share a few threads. Each thread puts its CAPs in its own
+  *    [[CapTable.Builder]] and sorts its table; [[CapTable.merge]] joins
+  *    the threads' tables.
   *
   * The temporal chart's series ([[series]]) are read off the same stage
   * 1–2 shuffle, by one job over only the shuffled partitions that hold the
@@ -287,22 +291,20 @@ object Miscela {
     (comps.flatMap(_._1).toDS(), comps.flatMap(_._2).toDS(), nT)
   }
 
-  /** Full CAP mining: all four stages. Stages 1–3 run when this is called;
-    * the search runs when the returned Dataset is evaluated. On `data` and
-    * `locations` frames that are persisted and were mined before, stages
-    * 1–3 run no Spark job if the last call mined the same `data` frame
-    * with the same ε and δ, and one job, the stage 1–2 kernel, otherwise
-    * (see [[Miscela]]). With unchanged ε and δ, mining plus
-    * [[CapTable.collect]] thus runs one Spark job, stage 4. The Dataset is
-    * made from an RDD of CAPs, so [[CapTable.collect]] reads each task's
-    * CAP objects as they are, without encoding them into rows: each task
-    * builds its CAP table, and only the tables cross to the driver.
+  /** Full CAP mining: all four stages, as one [[CapTable]] in export
+    * order. On `data` and `locations` frames that are persisted and were
+    * mined before, this runs no Spark job if the last call mined the same
+    * `data` frame with the same ε and δ, and one job, the stage 1–2 kernel,
+    * otherwise (see [[Miscela]]). Stage 4 runs on the driver's threads
+    * ([[search]]).
     *
     * @param data      measurement records (id, attribute, time, data)
     * @param locations sensor registry (id, attribute, lat, lon)
     * @param useNaive  swap the pruned CAP search for the brute-force
     *                  baseline (identical output, used by the T3 bench)
     * @return all CAPs of the dataset under `params`
+    * @throws IllegalStateException if the CAPs outgrow the heap's budget
+    *         (see [[search]])
     */
   def mine(
       spark: SparkSession,
@@ -310,30 +312,111 @@ object Miscela {
       locations: DataFrame,
       params: CapParams,
       useNaive: Boolean = false,
-  ): Dataset[Cap] = {
+  ): CapTable = {
     val (comps, nT) = assembleComponents(spark, data, locations, params)
-    // A lone sensor has no pattern. Every other component contributes one
-    // unit per member; `first(c)` is the ordinal of component c's root 0.
-    val searched = comps.filter(_._1.length >= 2).toArray
-    val first = searched.scanLeft(0)(_ + _._1.length)
-    val k = math.max(1, math.min(spark.sparkContext.defaultParallelism, first.last))
-    val caps = spark.sparkContext
-      .parallelize(0 until k, k)
-      .flatMap { j =>
-        // Task j searches the units whose ordinal is j modulo k, and builds
-        // only the components it holds a root of.
-        searched.iterator.zip(first.iterator).flatMap { case ((sensors, edges), f) =>
-          if (Math.floorMod(j - f, k) >= sensors.length) Nil
-          else searchAssembled(sensors, edges, nT, params, useNaive, r => (f + r) % k == j)
+    search(comps, nT, params, useNaive, spark.sparkContext.defaultParallelism)
+  }
+
+  /** Stage 4's units of work: the (component, root) pairs of the components
+    * in `comps` with at least two sensors (a lone sensor has no pattern),
+    * numbered in component order and dealt round-robin to k =
+    * min(parallelism, units) shares, at least one. Share j holds the units
+    * whose number is j modulo k, as (index into `comps`, root).
+    */
+  private[core] def deal(comps: Seq[(Array[CompSensor], Array[CompEdge])], parallelism: Int): Seq[Seq[(Int, Int)]] = {
+    val units = (for {
+      (c, i) <- comps.iterator.zipWithIndex if c._1.length >= 2
+      root <- c._1.indices
+    } yield (i, root)).toVector
+    val k = math.max(1, math.min(parallelism, units.length))
+    Seq.tabulate(k)(j => units.indices.drop(j).by(k).map(units))
+  }
+
+  /** Heap bytes allowed per CAP member while stage 4 runs. A member costs 4
+    * bytes in a builder, but the builder's growth, its sorted table, the
+    * merge, the cache entry and the payloads each copy it again.
+    */
+  private val heapBytesPerMember = 64
+
+  /** Stage 4 on the driver: each share of [[deal]] runs on its own thread,
+    * the calling thread taking the first, and fills its own
+    * [[CapTable.Builder]], searching each component it holds a root of
+    * over those roots only; then it sorts its table. The tables are merged
+    * once every thread has ended. No thread outlives the call.
+    *
+    * The builders charge their members to one budget, `memberBudget`, by
+    * default the heap's maximum size over [[heapBytesPerMember]]. When it is
+    * spent every thread stops, and an `IllegalStateException` says how many
+    * CAPs were reached and which parameters to change, rather than the heap
+    * running out. An exception in any unit stops the other threads and is
+    * rethrown as it is.
+    */
+  private[core] def search(
+      comps: Seq[(Array[CompSensor], Array[CompEdge])],
+      nT: Int,
+      params: CapParams,
+      useNaive: Boolean,
+      parallelism: Int,
+      memberBudget: Long = Runtime.getRuntime.maxMemory / heapBytesPerMember,
+  ): CapTable = {
+    val components = comps.toIndexedSeq
+    val shares = deal(components, parallelism)
+    val budget = new CapTable.Budget(memberBudget)
+    val tables = new Array[CapTable](shares.length)
+    val reached = new Array[Int](shares.length)
+    val failure = new AtomicReference[Throwable]
+    def run(j: Int): Unit = {
+      val builder = new CapTable.Builder(budget)
+      try {
+        shares(j).groupBy(_._1).toSeq.sortBy(_._1).foreach { case (c, units) =>
+          if (budget.halted) throw CapTable.Halted
+          val (sensors, edges) = components(c)
+          searchInto(sensors, edges, nT, params, useNaive, builder, units.map(_._2).toSet)
+        }
+        tables(j) = builder.result()
+      } catch {
+        case CapTable.Halted =>
+        case e: Throwable =>
+          failure.compareAndSet(null, e)
+          budget.halt()
+      } finally reached(j) = builder.length
+    }
+    val threads = (1 until shares.length).map(j => new Thread(() => run(j), s"cap-search-$j"))
+    try {
+      threads.foreach(_.start())
+      run(0)
+    } catch {
+      case e: Throwable =>
+        failure.compareAndSet(null, e)
+        budget.halt()
+    } finally {
+      var interrupted = false
+      threads.foreach { t =>
+        while (t.isAlive) {
+          try t.join()
+          catch {
+            case _: InterruptedException =>
+              interrupted = true
+              budget.halt()
+          }
         }
       }
-    spark.createDataset(caps)(Cap.encoder)
+      if (interrupted) Thread.currentThread().interrupt()
+    }
+    Option(failure.get).foreach(e => throw e)
+    if (budget.exceeded)
+      throw new IllegalStateException(
+        s"CAP search stopped at ${reached.map(_.toLong).sum} CAPs: their members passed the budget of " +
+          s"${budget.limit} for a ${Runtime.getRuntime.maxMemory / 1000000} MB heap. Raise psi (now " +
+          s"${params.psi}), or lower eta (now ${params.etaKm} km), mu (now ${params.mu}) or maxSensors " +
+          s"(now ${params.maxSensors}).")
+    CapTable.merge(tables.toSeq)
   }
 
   /** Builds one assembled component's in-memory structures (see
     * [[assembleComponents]]) and runs the chosen search on it, over the
-    * selected roots. Members are indexed in id order, so root r is the
-    * sensor with the r-th smallest id.
+    * selected roots, as a table in export order. Members are indexed in id
+    * order, so root r is the sensor with the r-th smallest id.
     */
   def searchAssembled(
       sensors: Array[CompSensor],
@@ -342,8 +425,23 @@ object Miscela {
       params: CapParams,
       useNaive: Boolean,
       roots: Int => Boolean = _ => true,
-  ): Seq[Cap] = {
-    if (sensors.length < 2) return Nil
+  ): CapTable = {
+    val builder = new CapTable.Builder
+    searchInto(sensors, edges, nT, params, useNaive, builder, roots)
+    builder.result()
+  }
+
+  /** [[searchAssembled]], adding the CAPs to `into`. */
+  private def searchInto(
+      sensors: Array[CompSensor],
+      edges: Array[CompEdge],
+      nT: Int,
+      params: CapParams,
+      useNaive: Boolean,
+      into: CapTable.Builder,
+      roots: Int => Boolean,
+  ): Unit = {
+    if (sensors.length < 2) return
     val ordered = sensors.sortBy(_.id)
     val idx = ordered.iterator.map(_.id).zipWithIndex.toMap
     val events = ordered.map { s =>
@@ -362,7 +460,7 @@ object Miscela {
       }
     }
     val adjArr = adj.map(_.result().toArray.sorted)
-    if (useNaive) NaiveSearch.enumerate(events, adjArr, params, roots)
-    else CapSearch.enumerate(events, adjArr, params, roots)
+    if (useNaive) NaiveSearch.enumerate(events, adjArr, params, roots).foreach(into += _)
+    else CapSearch.enumerateInto(events, adjArr, params, into, roots)
   }
 }

@@ -27,7 +27,7 @@ object T2Sweep {
   /** Runs one mining pass and counts CAPs. */
   def countCaps(spark: SparkSession, ds: SmartCityDataset, params: CapParams): (Long, Long) = {
     val (n, ms) = Tables.timed {
-      Miscela.mine(spark, ds.data, ds.locations, params).count()
+      Miscela.mine(spark, ds.data, ds.locations, params).length.toLong
     }
     (n, ms)
   }

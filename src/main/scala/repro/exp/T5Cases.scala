@@ -37,7 +37,7 @@ object T5Cases {
   // -------------------------------------------------------------------
   def santanderCaps(spark: SparkSession, sf: Double, params: CapParams): Seq[Cap] = {
     val ds = SmartCityData.santander(spark, sf)
-    Miscela.mine(spark, ds.data, ds.locations, params).collect().toSeq
+    Miscela.mine(spark, ds.data, ds.locations, params)
   }
 
   // -------------------------------------------------------------------
@@ -88,8 +88,8 @@ object T5Cases {
     val before = ds.data.where(col("time") < lit(split))
     val after = ds.data.where(col("time") >= lit(split))
     CovidResult(
-      Miscela.mine(spark, before, ds.locations, params).collect().toSeq,
-      Miscela.mine(spark, after, ds.locations, params).collect().toSeq,
+      Miscela.mine(spark, before, ds.locations, params),
+      Miscela.mine(spark, after, ds.locations, params),
     )
   }
 }

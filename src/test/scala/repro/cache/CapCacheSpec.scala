@@ -10,7 +10,7 @@ import scala.concurrent.ExecutionContext.Implicits.global
 import scala.concurrent.duration._
 
 import repro.SparkSpec
-import repro.core.{Cap, CapParams, CapTableSpec, JoinedOrder, TinyWorld}
+import repro.core.{Cap, CapParams, CapTable, CapTableSpec, JoinedOrder, TinyWorld}
 import repro.viz.JsonExport
 
 /** Entries as they were written before the CAP table: the key material
@@ -47,9 +47,12 @@ class CapCacheSpec extends SparkSpec {
     (new CapCache(dir), dir)
   }
 
+  private def someTable(n: Int): CapTable =
+    CapTable((0 until n).map(i => Cap(Seq("a", "b"), Seq(s"s$i", s"s${i + 1}"), 10L + i)))
+
   private def someCaps(n: Int): org.apache.spark.sql.Dataset[Cap] = {
     import spark.implicits._
-    (0 until n).map(i => Cap(Seq("a", "b"), Seq(s"s$i", s"s${i + 1}"), 10L + i)).toDS()
+    someTable(n).toDS()
   }
 
   /** The names directly under the store root. */
@@ -102,7 +105,7 @@ class CapCacheSpec extends SparkSpec {
   test("getOrCompute: second identical request is a hit and skips compute") {
     val (cache, _) = newCache()
     var computions = 0
-    def compute() = { computions += 1; someCaps(3) }
+    def compute() = { computions += 1; someTable(3) }
     val (r1, hit1) = cache.getOrCompute(spark, "santander", p)(compute())
     assert(!hit1 && r1.size == 3 && computions == 1)
     val (r2, hit2) = cache.getOrCompute(spark, "santander", p)(compute())
@@ -151,7 +154,7 @@ class CapCacheSpec extends SparkSpec {
     cache.put("x", p, someCaps(2))
     intercept[Exception](cache.put("x", p, failing))
     assert(cache.get(spark, "x", p).get.count() == 2)
-    val (served, hit) = cache.getOrCompute(spark, "x", p)(someCaps(9))
+    val (served, hit) = cache.getOrCompute(spark, "x", p)(someTable(9))
     assert(hit && served.size == 2)
     assert(entries(dir).size == 1, "a failed put left its staging directory behind")
   }
@@ -194,10 +197,13 @@ class CapCacheSpec extends SparkSpec {
   test("a miss evaluates the mining Dataset once") {
     import spark.implicits._
     val (cache, _) = newCache()
+    var computions = 0
+    val (caps, hit) = cache.getOrCompute(spark, "x", p) { computions += 1; someTable(7) }
+    assert(!hit && caps.size == 7 && computions == 1)
+    // A put collects its Dataset once.
     val evaluated = spark.sparkContext.longAccumulator("caps evaluated")
-    val (caps, hit) = cache.getOrCompute(spark, "x", p)(someCaps(7).map { c => evaluated.add(1); c })
-    assert(!hit && caps.size == 7)
-    assert(evaluated.value == 7)
+    cache.put("y", p, someCaps(7).map { c => evaluated.add(1); c })
+    assert(evaluated.value == 7 && cache.get(spark, "y", p).get.count() == 7)
   }
 
   test("an empty, cut-off, old-layout or garbled entry file is a miss, and the next put replaces it") {
@@ -218,7 +224,7 @@ class CapCacheSpec extends SparkSpec {
       Files.write(entry, bytes)
       assert(!cache.contains("x", p), what)
       assert(cache.get(spark, "x", p).isEmpty, what)
-      val (served, hit) = cache.getOrCompute(spark, "x", p)(someCaps(3))
+      val (served, hit) = cache.getOrCompute(spark, "x", p)(someTable(3))
       assert(!hit && served.size == 3, what)
       assert(cache.get(spark, "x", p).get.count() == 3, what)
       assert(entries(dir) == Seq(entry.toString), what)
@@ -227,11 +233,10 @@ class CapCacheSpec extends SparkSpec {
   }
 
   test("a miss and a hit both serve the CAPs in export order, and the same payload bytes") {
-    import spark.implicits._
     val (cache, _) = newCache()
     val caps = CapTableSpec.randomCaps(new scala.util.Random(3), 400, CapTableSpec.trickyNames)
-    val (missed, missHit) = cache.getOrCompute(spark, "x", p)(caps.toDS().repartition(4))
-    val (served, hit) = cache.getOrCompute(spark, "x", p)(caps.toDS())
+    val (missed, missHit) = cache.getOrCompute(spark, "x", p)(CapTable(caps))
+    val (served, hit) = cache.getOrCompute(spark, "x", p)(CapTable(caps))
     assert(!missHit && hit)
     assert(JoinedOrder.holds(missed, caps))
     assert(served.toSeq == missed.toSeq)

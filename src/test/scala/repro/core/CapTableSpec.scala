@@ -122,6 +122,49 @@ class CapTableSpec extends AnyFunSuite {
     }
   }
 
+  test("property: the merged tables of k builders equal the table of all their CAPs, names included") {
+    val rnd = new Random(16)
+    (0 until 25).foreach { round =>
+      val names = rnd.shuffle(trickyNames).take(2 + rnd.nextInt(trickyNames.length - 1)).toArray
+      val caps = rnd.shuffle(randomCaps(rnd, rnd.nextInt(3000), names) ++ colliding)
+      // Each CAP goes to one of 1–6 builders, added either as a Cap or as
+      // indices into a name table that also holds names no CAP uses.
+      val builders = IndexedSeq.fill(1 + rnd.nextInt(6))(new CapTable.Builder)
+      caps.foreach { c =>
+        val b = builders(rnd.nextInt(builders.length))
+        if (rnd.nextBoolean()) b += c
+        else {
+          val table = b.names(names ++ c.attributes ++ c.sensors :+ s"unused $round")
+          val index = (names ++ c.attributes ++ c.sensors).zipWithIndex.toMap
+          val codes = c.attributes.map(index).toArray
+          val ranks = c.sensors.map(index).toArray
+          b.add(codes, codes.length, table, ranks, ranks.length, table, c.support)
+        }
+      }
+      val want = CapTable(caps)
+      val got = CapTable.merge(builders.map(_.result()))
+      assert(got == want, s"round $round")
+      assert(got.names.toSeq == want.names.toSeq, s"round $round: names")
+      assert(builders.map(_.length).sum == caps.length)
+    }
+  }
+
+  test("a builder stops at its budget, and at once when the budget is halted") {
+    val budget = new CapTable.Budget(6000)
+    val b = new CapTable.Builder(budget)
+    val cap = Cap(Seq("a", "b"), Seq("s1", "s2", "s3"), 1)
+    // 5 members a CAP, charged every 1,024 CAPs: the first charge fits.
+    (0 until 1024).foreach(_ => b += cap)
+    assert(!budget.halted && !budget.exceeded)
+    intercept[CapTable.Halted.type]((0 until 1024).foreach(_ => b += cap))
+    assert(budget.halted && budget.exceeded && b.length == 2048)
+    val halted = new CapTable.Budget(Long.MaxValue)
+    halted.halt()
+    val other = new CapTable.Builder(halted)
+    intercept[CapTable.Halted.type]((0 until 1024).foreach(_ => other += cap))
+    assert(!halted.exceeded && other.length == 1024)
+  }
+
   test("a table read back through Spark's Java serializer is equal") {
     val t = CapTable(randomCaps(new Random(5), 200, trickyNames) ++ colliding)
     val serializer = new JavaSerializer(new SparkConf()).newInstance()

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.lang.management.ManagementFactory
+import java.lang.ref.WeakReference
 import java.nio.charset.StandardCharsets.UTF_8
 import java.nio.file.Files
 import java.util.concurrent.{CountDownLatch, FutureTask, TimeUnit}
@@ -260,7 +262,7 @@ class MiscelaSpec extends SparkSpec {
     assert(mined(dataDf(spark, Map.empty), locs).isEmpty)
   }
 
-  test("stage 4 runs at most defaultParallelism tasks and none for lone sensors") {
+  test("stage 4 deals its units to at most defaultParallelism threads, none for lone sensors, and runs no Spark job") {
     // 40 sensors 100 km apart plus one 3-sensor cluster: 41 components, but
     // only the cluster can hold a pattern, and it has 3 (component, root) units.
     val attrs = Seq("temperature", "trafficVolume", "humidity")
@@ -270,40 +272,150 @@ class MiscelaSpec extends SparkSpec {
     val sites = isolated ++ cluster
     val data = dataDf(spark, sites.map(s => (s._1, s._2) -> co).toMap)
     val locs = locDf(spark, sites)
-    val sc = spark.sparkContext
-    val search = Miscela.mine(spark, data, locs, edgeParams)
-    val (caps, run) = observe("stage-4")(search.collect().toSeq)
-    assert(run.jobs.nonEmpty, "the search job never started")
-    val tasks = run.jobs.map(_.stageInfos.map(_.numTasks).sum).sum
-    assert(tasks >= 1 && tasks <= math.min(sc.defaultParallelism, 3),
-      s"$tasks search tasks at defaultParallelism ${sc.defaultParallelism}")
+    val parallelism = spark.sparkContext.defaultParallelism
+    val (comps, nT) = Miscela.assembleComponents(spark, data, locs, edgeParams)
+    assert(comps.size == 41)
+    val shares = Miscela.deal(comps, parallelism)
+    val c = comps.indexWhere(_._1.exists(_.id == "c1"))
+    assert(shares.length == math.min(parallelism, 3), s"${shares.length} threads at defaultParallelism $parallelism")
+    assert(shares.flatten.sorted == Seq((c, 0), (c, 1), (c, 2)))
+    val (caps, run) = observe("stage-4")(Miscela.search(comps, nT, edgeParams, useNaive = false, parallelism))
+    assert(run.jobs.isEmpty, s"${run.jobs.size} Spark jobs in stage 4")
     assert(caps.nonEmpty && caps.forall(_.sensors.forall(_.startsWith("c"))))
     assert(canon(caps) == canon(mined(data, locs, edgeParams, useNaive = true)))
 
-    // A cache miss collects the same search in one job, with no more tasks.
-    val cache = new CapCache(Files.createTempDirectory("stage-4-cache").toString)
-    val ((table, hit), miss) = observe("stage-4-miss")(cache.getOrCompute(spark, "x", edgeParams)(search))
-    assert(!hit && table == CapTable(caps))
-    assert(miss.jobs.size == 1, s"${miss.jobs.size} Spark jobs on a miss")
-    val missTasks = miss.jobs.head.stageInfos.map(_.numTasks).sum
-    assert(missTasks >= 1 && missTasks <= math.min(sc.defaultParallelism, 3),
-      s"$missTasks search tasks on a miss at defaultParallelism ${sc.defaultParallelism}")
+    // On persisted frames mined before, a cache miss runs no Spark job.
+    data.persist()
+    locs.persist()
+    try {
+      mined(data, locs)
+      val cache = new CapCache(Files.createTempDirectory("stage-4-cache").toString)
+      val ((table, hit), miss) = observe("stage-4-miss") {
+        cache.getOrCompute(spark, "x", edgeParams)(Miscela.mine(spark, data, locs, edgeParams))
+      }
+      assert(!hit && table == CapTable(caps))
+      assert(miss.jobs.isEmpty, s"${miss.jobs.size} Spark jobs on a miss")
+    } finally {
+      data.unpersist()
+      locs.unpersist()
+    }
   }
 
-  test("CapTable.collect equals the table of the collected CAPs") {
-    import spark.implicits._
-    val (data, locs) = world()
-    // Five (component, root) units: one task per unit up to defaultParallelism.
-    val search = Miscela.mine(spark, data, locs, edgeParams)
-    assert(search.rdd.getNumPartitions == math.min(spark.sparkContext.defaultParallelism, 5))
-    val local = CapTableSpec.randomCaps(new scala.util.Random(7), 300, CapTableSpec.trickyNames).toDS()
-    Seq("mine" -> search, "a local Dataset" -> local, "an empty Dataset" -> Seq.empty[Cap].toDS())
-      .foreach { case (what, ds) =>
-        val want = CapTable(ds.collect().toIndexedSeq)
-        val got = CapTable.collect(ds)
-        assert(got == want && got.names.toSeq == want.names.toSeq, what)
-        assert(got.isEmpty == (what == "an empty Dataset"), what)
+  /** `count` components of `size` sensors each: every pair in a component
+    * is adjacent, and every sensor rises at each of `nT` timestamps, so
+    * every set of at most maxSensors members with two or more attributes
+    * is a CAP. Attributes cycle over three names, so a 12-sensor component
+    * holds 748 CAPs at maxSensors 4.
+    */
+  private def cliques(count: Int, size: Int, nT: Int): Seq[(Array[CompSensor], Array[CompEdge])] =
+    (0 until count).map { k =>
+      val c = f"k$k%05d"
+      val sensors = Array.tabulate(size)(i =>
+        CompSensor(c, f"$c-$i%02d", Seq("temperature", "light", "humidity")(i % 3), 0 until nT, Nil))
+      val edges = for (i <- 0 until size; j <- i + 1 until size) yield CompEdge(c, sensors(i).id, sensors(j).id)
+      (sensors, edges.toArray)
+    }
+
+  private val cliqueParams = CapParams(psi = 1, mu = 3, maxSensors = 4)
+
+  /** The threads stage 4 started that are still alive. */
+  private def searchThreads() =
+    Thread.getAllStackTraces.keySet.toArray(Array.empty[Thread]).filter(_.getName.startsWith("cap-search-"))
+
+  /** Heap in use after full collections, in bytes. */
+  private def heapAfterGc(): Long = {
+    val heap = ManagementFactory.getMemoryMXBean
+    (1 to 3).map { _ =>
+      System.gc()
+      Thread.sleep(100)
+      heap.getHeapMemoryUsage.getUsed
+    }.min
+  }
+
+  test("stage 4 stops at its CAP budget with a message that names the parameters to change") {
+    val parallelism = spark.sparkContext.defaultParallelism
+    val comps = cliques(40, 12, 8)
+    val full = Miscela.search(comps, 8, cliqueParams, useNaive = false, parallelism)
+    assert(full.length == 40 * 748)
+    Seq(false, true).foreach { useNaive =>
+      val e = intercept[IllegalStateException] {
+        Miscela.search(comps, 8, cliqueParams, useNaive, parallelism, memberBudget = 10000)
       }
+      assert(e.getMessage.matches(
+        "CAP search stopped at \\d+ CAPs: their members passed the budget of 10000 for a \\d+ MB heap\\. " +
+          "Raise psi \\(now 1\\), or lower eta \\(now 0\\.5 km\\), mu \\(now 3\\) or maxSensors \\(now 4\\)\\."),
+        e.getMessage)
+      val reached = "stopped at (\\d+) CAPs".r.findFirstMatchIn(e.getMessage).get.group(1).toInt
+      assert(reached >= 1024 && reached < full.length, e.getMessage)
+      assert(searchThreads().isEmpty)
+    }
+  }
+
+  test("stage 4 leaves no thread or table behind, and a failing unit stops the others and surfaces as itself") {
+    val parallelism = spark.sparkContext.defaultParallelism
+    val nT = 8
+    val good = cliques(1500, 12, nT)
+    // An evolving timestamp far past the grid: building this component fails.
+    val bad = (Array(CompSensor("bad", "bad-0", "light", Seq(1000), Nil), CompSensor("bad", "bad-1", "humidity", Seq(1), Nil)),
+      Array(CompEdge("bad", "bad-0", "bad-1")))
+    def timed[A](body: => A): (A, Long) = {
+      val t0 = System.nanoTime()
+      val a = body
+      (a, System.nanoTime() - t0)
+    }
+    def failing(comps: Seq[(Array[CompSensor], Array[CompEdge])]): Long = timed {
+      intercept[ArrayIndexOutOfBoundsException](Miscela.search(comps, nT, cliqueParams, useNaive = false, parallelism))
+    }._2
+    // A normal call, whose table is then reachable only through the weak
+    // reference; with the table's size in bytes and the call's time.
+    def normal(): (WeakReference[CapTable], Long, Long) = {
+      val (table, ns) = timed(Miscela.search(good, nT, cliqueParams, useNaive = false, parallelism))
+      assert(table.length == 1500 * 748)
+      (new WeakReference(table), 4L * (table.bounds.length + table.members.length) + 8L * table.length, ns)
+    }
+    normal()
+    val before = heapAfterGc()
+    val (kept, tableBytes, fullNs) = normal()
+    assert(searchThreads().isEmpty, "a search thread outlived a normal call")
+    assert(heapAfterGc() - before < tableBytes / 2 && kept.get == null, "a finished table is still reachable")
+
+    // The bad component first: its units fail at once, and the other
+    // threads stop at their next component instead of searching the rest.
+    val stoppedNs = failing(bad +: good)
+    assert(searchThreads().isEmpty, "a search thread outlived a failing call")
+    assert(stoppedNs < fullNs / 4, s"a failing call took ${stoppedNs / 1e6} ms, a whole one ${fullNs / 1e6} ms")
+    // The bad component last: the other threads finish their tables first.
+    val beforeFailing = heapAfterGc()
+    failing(good :+ bad)
+    assert(searchThreads().isEmpty, "a search thread outlived a failing call")
+    assert(heapAfterGc() - beforeFailing < tableBytes / 2, "a failing call left its tables reachable")
+  }
+
+  test("property: stage 4 on k threads equals stage 4 on one thread over T2's parameter grid") {
+    // T2's sweeps around perfbench's Santander request, each searched on
+    // one thread and on a random number of threads.
+    val base = CapParams(epsilon = 1.0, etaKm = 0.5, mu = 3, psi = 50, maxSensors = 4)
+    val grid = Seq(0.5, 2.0, 10.5, 16.0).map(v => base.copy(epsilon = v)) ++
+      Seq(0.05, 0.2, 0.5, 2.0).map(v => base.copy(etaKm = v)) ++
+      Seq(20, 100, 300).map(v => base.copy(psi = v)) ++ Seq(2, 3).map(v => base.copy(mu = v))
+    val rnd = new Random(16)
+    val (data, locs) = santanderCopies.head
+    data.persist()
+    locs.persist()
+    try {
+      val sizes = grid.map { p =>
+        val (comps, nT) = Miscela.assembleComponents(spark, data, locs, p)
+        val one = Miscela.search(comps, nT, p, useNaive = false, parallelism = 1)
+        val k = 2 + rnd.nextInt(7)
+        val many = Miscela.search(comps, nT, p, useNaive = false, k)
+        assert(many == one && many.names.toSeq == one.names.toSeq, s"$p on $k threads")
+        one.length
+      }
+      assert(sizes.count(_ > 0) >= grid.length / 2, sizes)
+    } finally {
+      data.unpersist()
+      locs.unpersist()
+    }
   }
 
   test("stages 1-2 run on every core: one shuffle, read by the grid and the kernel") {
@@ -393,7 +505,7 @@ class MiscelaSpec extends SparkSpec {
     // jumpsA has 5 events and jumpsB 2: psi = 3 prunes a3, b1 and b2.
     val high = CapParams(epsilon = 1.0, etaKm = 0.5, mu = 3, psi = 3, maxSensors = 3)
     val low = high.copy(psi = 2)
-    val want = CapTable.collect(Miscela.mine(spark, data, locs, low))
+    val want = Miscela.mine(spark, data, locs, low)
     def ids(assembled: (Seq[(Array[CompSensor], Array[CompEdge])], Int)) = assembled._1.flatMap(_._1).map(_.id).sorted
     data.persist()
     locs.persist()
@@ -402,8 +514,8 @@ class MiscelaSpec extends SparkSpec {
       val (assembled, run) = observe("lower-psi")(Miscela.assembleComponents(spark, data, locs, low))
       assert(run.jobs.isEmpty, s"${run.jobs.size} Spark jobs for stages 1-3")
       assert(ids(assembled) == Seq("a1", "a2", "a3", "b1", "b2"))
-      val (caps, mining) = observe("lower-psi-mine")(CapTable.collect(Miscela.mine(spark, data, locs, low)))
-      assert(mining.jobs.size == 1, s"${mining.jobs.size} Spark jobs to mine (stage 4)")
+      val (caps, mining) = observe("lower-psi-mine")(Miscela.mine(spark, data, locs, low))
+      assert(mining.jobs.isEmpty, s"${mining.jobs.size} Spark jobs to mine")
       assert(caps == want && caps.names.exists(_.startsWith("b")))
     } finally {
       data.unpersist()
@@ -494,8 +606,8 @@ class MiscelaSpec extends SparkSpec {
       locs.persist()
       try {
         val sizes = requests.map { p =>
-          val got = CapTable.collect(Miscela.mine(spark, data, locs, p))
-          assert(got == CapTable.collect(Miscela.mine(spark, coldData, coldLocs, p)), p)
+          val got = Miscela.mine(spark, data, locs, p)
+          assert(got == Miscela.mine(spark, coldData, coldLocs, p), p)
           // Stages 1-3 too: the ψ-pruned event lists and components.
           assert(comparable(Miscela.assembleComponents(spark, data, locs, p)) ==
             comparable(Miscela.assembleComponents(spark, coldData, coldLocs, p)), p)
@@ -546,7 +658,7 @@ class MiscelaSpec extends SparkSpec {
 
   test("two threads mining one persisted frame at once get the single-threaded CAP table") {
     val (data, locs) = world()
-    val want = CapTable.collect(Miscela.mine(spark, data, locs, edgeParams))
+    val want = Miscela.mine(spark, data, locs, edgeParams)
     data.persist()
     locs.persist()
     try {
@@ -554,7 +666,7 @@ class MiscelaSpec extends SparkSpec {
       val runs = (1 to 2).map { _ =>
         val done = new FutureTask[CapTable](() => {
           start.await()
-          CapTable.collect(Miscela.mine(spark, data, locs, edgeParams))
+          Miscela.mine(spark, data, locs, edgeParams)
         })
         new Thread(done).start()
         done

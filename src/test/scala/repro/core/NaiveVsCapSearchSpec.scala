@@ -26,6 +26,33 @@ class NaiveVsCapSearchSpec extends AnyFunSuite {
     (sensors, b.map(_.result().toArray.sorted))
   }
 
+  for ((policy, p) <- Seq(SignPolicy.SameSign, SignPolicy.AnySign).zipWithIndex; single <- Seq(false, true)) {
+    test(s"property: the CAPs searched into a table builder equal the table of the emitted CAPs ($policy, single $single)") {
+      val r = new Random(40 + 2 * p + (if (single) 1 else 0))
+      (1 to 20).foreach { round =>
+        val params = CapParams(psi = 1 + r.nextInt(6), mu = 1 + r.nextInt(4), maxSensors = 2 + r.nextInt(5),
+          signPolicy = policy, allowSingleAttribute = single)
+        // One builder over 1-3 components, each searched over a random
+        // half of its roots, with ids and attributes from the same names.
+        val names = r.shuffle(CapTableSpec.trickyNames)
+        val builder = new CapTable.Builder
+        val emitted = (0 until 1 + r.nextInt(3)).flatMap { _ =>
+          val (sensors, adj) = randomComponent(r, 9, 32)
+          val named = sensors.zipWithIndex.map { case (s, i) =>
+            s.copy(id = names(i), attribute = names(names.length - 1 - s.attribute.last.asDigit))
+          }
+          val roots = sensors.indices.filter(_ => r.nextBoolean()).toSet
+          CapSearch.enumerateInto(named, adj, params, builder, roots)
+          CapSearch.enumerate(named, adj, params, roots)
+        }
+        val got = builder.result()
+        val want = CapTable(emitted)
+        assert(got == want, s"round $round, $params")
+        assert(got.names.toSeq == want.names.toSeq, s"round $round, $params: names")
+      }
+    }
+  }
+
   private def canon(caps: Seq[Cap]): Seq[(String, String, Long)] =
     caps.map(c => (c.attributes.mkString(","), c.sensors.mkString(","), c.support)).sorted
 
