@@ -14,14 +14,6 @@ object Bits {
   /** Empty bitset of `nBits` bits. */
   def empty(nBits: Int): Array[Long] = new Array[Long](words(nBits))
 
-  /** Full bitset (every one of `nBits` bits set). */
-  def full(nBits: Int): Array[Long] = {
-    val a = empty(nBits)
-    var i = 0
-    while (i < nBits) { set(a, i); i += 1 }
-    a
-  }
-
   def set(a: Array[Long], bit: Int): Unit = a(bit >>> 6) |= (1L << (bit & 63))
 
   def get(a: Array[Long], bit: Int): Boolean = (a(bit >>> 6) & (1L << (bit & 63))) != 0

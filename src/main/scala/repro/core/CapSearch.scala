@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** One sensor inside a component: its evolving-timestamp bitsets.
   *
   * @param plus  bitset of timestamps with a positive evolution
@@ -39,15 +37,16 @@ final case class SensorEvents(id: String, attribute: String, plus: Array[Long], 
   * The walk allocates nothing per step. It keeps one intersection row per
   * depth, one `blocked` mark per vertex (vertices tried on this path,
   * members and frontier), the frontier as one shared stack whose child
-  * range is contiguous, and a per-attribute member count for μ. An emitted
-  * CAP is handed on as codes and ranks in two reused arrays, so only
-  * [[enumerate]]'s `Cap` objects allocate per CAP. Recursion depth is at
-  * most `maxSensors`.
+  * range is contiguous, and a per-attribute member count for μ. Each CAP
+  * goes into a [[CapTable.Builder]] as name indices from two reused
+  * arrays, so nothing is allocated per CAP but the builder's growth.
+  * Recursion depth is at most `maxSensors`.
   *
   * Subtrees under different roots are independent, so a caller may split
   * one component's search by root: see the `roots` selection and
   * [[Miscela.mine]], which deals (component, root) units to threads on the
-  * driver, each filling its own [[CapTable.Builder]] ([[enumerateInto]]).
+  * driver, each filling its own builder over one shared names array
+  * ([[enumerateInto]]).
   */
 object CapSearch {
 
@@ -66,14 +65,9 @@ object CapSearch {
     Bits.cardinality(members.map(bits(_, policy)).reduce(Bits.and))
   }
 
-  /** Enumerates the CAPs of one component whose minimum member is a
-    * selected root.
-    *
-    * @param sensors component members, indexed 0..n-1
-    * @param adj     adjacency lists over those indices (η-proximity edges
-    *                restricted to the component)
-    * @param roots   selects the roots to search; the union of the results
-    *                over a partition of 0..n-1 is the full CAP set
+  /** The CAPs of one component whose minimum member is a selected root, in
+    * export order: [[enumerateInto]] into a builder over the component's
+    * names.
     */
   def enumerate(
       sensors: Array[SensorEvents],
@@ -81,16 +75,21 @@ object CapSearch {
       params: CapParams,
       roots: Int => Boolean = _ => true,
   ): Seq[Cap] = {
-    val out = mutable.ArrayBuffer.empty[Cap]
-    walk(sensors, adj, params, roots) { (attributes, ids) => (codes, nCodes, ranks, nRanks, support) =>
-      out += Cap(Seq.tabulate(nCodes)(k => attributes(codes(k))), Seq.tabulate(nRanks)(k => ids(ranks(k))), support)
-    }
-    out.toSeq
+    val into = new CapTable.Builder(sensors.flatMap(s => Array(s.id, s.attribute)).distinct.sorted)
+    enumerateInto(sensors, adj, params, into, roots)
+    into.result()
   }
 
-  /** The CAPs of [[enumerate]], added to `into`: the component's names are
-    * interned once, and each CAP goes in as attribute codes and sensor
-    * ranks, with no [[Cap]] or string built.
+  /** Adds to `into` the CAPs of one component whose minimum member is a
+    * selected root. Each CAP goes in as its attributes' and sensors'
+    * indices into the builder's names, which must hold every id and
+    * attribute of `sensors`; no [[Cap]] or string is built.
+    *
+    * @param sensors component members, indexed 0..n-1
+    * @param adj     adjacency lists over those indices (η-proximity edges
+    *                restricted to the component)
+    * @param roots   selects the roots to search; the union of the results
+    *                over a partition of 0..n-1 is the full CAP set
     */
   private[core] def enumerateInto(
       sensors: Array[SensorEvents],
@@ -98,73 +97,51 @@ object CapSearch {
       params: CapParams,
       into: CapTable.Builder,
       roots: Int => Boolean = _ => true,
-  ): Unit =
-    walk(sensors, adj, params, roots) { (attributes, ids) =>
-      val attributeNames = into.names(attributes)
-      val sensorNames = into.names(ids)
-      (codes, nCodes, ranks, nRanks, support) =>
-        into.add(codes, nCodes, attributeNames, ranks, nRanks, sensorNames, support)
-    }
-
-  /** Receives each CAP the walk finds: its distinct attributes as ascending
-    * codes into the component's sorted attribute names, then its sensors as
-    * ascending ranks into the component's sorted ids, each array valid up
-    * to the count that follows it, then its support. The arrays are the
-    * walk's own, refilled for the next CAP.
-    */
-  private type Emit = (Array[Int], Int, Array[Int], Int, Long) => Unit
-
-  /** The walk over the component's selected roots. `sink` is given the
-    * component's sorted attribute names and sorted ids, once, and returns
-    * what each CAP is handed to.
-    */
-  private def walk(
-      sensors: Array[SensorEvents],
-      adj: Array[Array[Int]],
-      params: CapParams,
-      roots: Int => Boolean,
-  )(sink: (Array[String], Array[String]) => Emit): Unit = {
+  ): Unit = {
     val n = sensors.length
     if (n < 2) return
     val sets = sensors.map(bits(_, params.signPolicy))
     val psi = params.psi
     val maxSensors = params.maxSensors
 
-    // Attributes as codes into a sorted table; ids ranked in sorted order.
-    val attrNames = sensors.map(_.attribute).distinct.sorted
-    val attrOf = sensors.map(s => attrNames.indexOf(s.attribute))
-    val byId = sensors.indices.sortBy(sensors(_).id).toArray
-    val rankOf = new Array[Int](n)
-    byId.indices.foreach(r => rankOf(byId(r)) = r)
-    val emitted = sink(attrNames, byId.map(sensors(_).id))
+    // Attributes as dense codes, for the μ count. Each sensor's attribute
+    // and id as its index into the builder's names, whose order is String
+    // order, so sorting the indices sorts the names.
+    val attrCodes = sensors.map(_.attribute).distinct
+    val attrOf = sensors.map(s => attrCodes.indexOf(s.attribute))
+    val attrName = sensors.map(s => into.indexOf(s.attribute))
+    val idName = sensors.map(s => into.indexOf(s.id))
 
     val rows = Array.fill(maxSensors)(new Array[Long](sets(0).length))
     val members = new Array[Int](maxSensors)
     val blocked = new Array[Boolean](n)
     val stack = new Array[Int](n)
-    val attrCount = new Array[Int](attrNames.length)
+    val attrCount = new Array[Int](attrCodes.length)
     var distinct = 0
     var root = 0
 
-    val codes = new Array[Int](maxSensors)
-    val ranks = new Array[Int](maxSensors)
+    val attributes = new Array[Int](maxSensors)
+    val ids = new Array[Int](maxSensors)
 
+    /** Adds the set `members(0 until size)` to `into`: its distinct
+      * attributes, then its ids, each as ascending name indices.
+      */
     def emit(size: Int, support: Int): Unit = {
       var k = 0
       while (k < size) {
-        codes(k) = attrOf(members(k))
-        ranks(k) = rankOf(members(k))
+        attributes(k) = attrName(members(k))
+        ids(k) = idName(members(k))
         k += 1
       }
-      java.util.Arrays.sort(codes, 0, size)
-      java.util.Arrays.sort(ranks, 0, size)
-      var nCodes = 1
+      java.util.Arrays.sort(attributes, 0, size)
+      java.util.Arrays.sort(ids, 0, size)
+      var nAttributes = 1
       k = 1
       while (k < size) {
-        if (codes(k) != codes(nCodes - 1)) { codes(nCodes) = codes(k); nCodes += 1 }
+        if (attributes(k) != attributes(nAttributes - 1)) { attributes(nAttributes) = attributes(k); nAttributes += 1 }
         k += 1
       }
-      emitted(codes, nCodes, ranks, size, support.toLong)
+      into.add(attributes, nAttributes, ids, size, support.toLong)
     }
 
     /** Pushes the unblocked neighbours of `w` above the root onto the stack

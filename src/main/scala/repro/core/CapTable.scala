@@ -4,7 +4,7 @@ import java.util.{Arrays, Comparator}
 import java.util.concurrent.atomic.AtomicLong
 
 import scala.collection.immutable.ArraySeq
-import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
+import scala.collection.mutable.ArrayBuilder
 import scala.util.control.ControlThrowable
 
 /** A CAP set in export order, as columns: each distinct attribute and
@@ -20,9 +20,11 @@ import scala.util.control.ControlThrowable
   * `String.compareTo`; distinct lists that join to the same string go by
   * their names one by one. A CAP's id in the payloads is its index here.
   *
-  * @param names   the distinct attribute and sensor ids, strictly ascending
-  *                in `String` order, so that comparing two indices compares
-  *                their names
+  * @param names   attribute and sensor ids, strictly ascending in `String`
+  *                order, so that comparing two indices compares their
+  *                names; the tables of [[CapTable.apply]] and
+  *                [[CapTable.merge]] hold exactly the names of their CAPs,
+  *                a builder's table all of its builder's names
   * @param bounds  2n + 1 ascending offsets into `members`: CAP i's
   *                attributes are `members(bounds(2i) until bounds(2i + 1))`
   *                and its sensors `members(bounds(2i + 1) until bounds(2i + 2))`
@@ -34,7 +36,7 @@ final class CapTable(
     val bounds: Array[Int],
     val members: Array[Int],
     val support: Array[Long],
-) extends IndexedSeq[Cap] with Serializable {
+) extends IndexedSeq[Cap] {
   require(bounds.length == 2 * support.length + 1 && bounds(0) == 0 && bounds.last == members.length,
     "CAP bounds do not match the members and supports")
   require(ascending(bounds), "CAP bounds are not ascending")
@@ -69,33 +71,30 @@ object CapTable {
   def apply(caps: Seq[Cap]): CapTable = caps match {
     case table: CapTable => table
     case _               =>
-      val builder = new Builder
+      val builder = new Builder(caps.iterator.flatMap(c => c.attributes ++ c.sensors).distinct.toArray.sorted)
       caps.foreach(builder += _)
       builder.result()
   }
 
-  /** The CAPs of `tables`, in export order, as one table. The names are the
-    * union of the tables' names; each table's members are remapped to it
-    * through a rank array, so no CAP is built and no name hashed per CAP.
-    * Each table is a run in export order, so the sort only merges the runs.
+  /** The CAPs of `tables`, in export order, as one table whose names are
+    * those its CAPs hold. The tables share one names array, so their
+    * columns are concatenated as they are, and the names that no CAP holds
+    * are dropped once, from the concatenation. Each table is a run in
+    * export order, so the sort only merges the runs.
     */
   def merge(tables: Seq[CapTable]): CapTable = {
-    val names = tables.flatMap(_.names).distinct.sorted.toArray
-    val keys: Array[AnyRef] = names.asInstanceOf[Array[AnyRef]]
+    val names = tables.headOption.fold(Array.empty[String])(_.names)
+    require(tables.forall(t => Arrays.equals(t.names.asInstanceOf[Array[AnyRef]], names.asInstanceOf[Array[AnyRef]])),
+      "merged tables do not share one names array")
     val n = tables.map(_.length).sum
     val bounds = new Array[Int](2 * n + 1)
     val members = new Array[Int](tables.map(_.members.length).sum)
     val support = new Array[Long](n)
     var caps = 0
     tables.foreach { t =>
-      val rank = t.names.map(name => Arrays.binarySearch(keys, name: AnyRef))
       val from = bounds(2 * caps)
-      var k = 0
-      while (k < t.members.length) {
-        members(from + k) = rank(t.members(k))
-        k += 1
-      }
-      k = 1
+      System.arraycopy(t.members, 0, members, from, t.members.length)
+      var k = 1
       while (k < t.bounds.length) {
         bounds(2 * caps + k) = from + t.bounds(k)
         k += 1
@@ -103,7 +102,14 @@ object CapTable {
       System.arraycopy(t.support, 0, support, caps, t.length)
       caps += t.length
     }
-    inExportOrder(new Columns(names, bounds, members, support))
+    // Drop the names that no CAP holds: a used name's new index is the
+    // number of used names before it.
+    val used = new Array[Boolean](names.length)
+    members.foreach(used(_) = true)
+    val rank = used.scanLeft(0)((r, u) => if (u) r + 1 else r)
+    var k = 0
+    while (k < members.length) { members(k) = rank(members(k)); k += 1 }
+    inExportOrder(new Columns(names.indices.filter(used).map(names).toArray, bounds, members, support))
   }
 
   /** The table of the CAPs of `in`, put in export order. */
@@ -152,17 +158,18 @@ object CapTable {
     */
   private[core] object Halted extends ControlThrowable
 
-  /** Builds a table from CAPs added one at a time, in any order. A name is
-    * interned when it is first seen: a search registers a component's
-    * names once ([[names]]) and adds each CAP as indices ([[add]]), so no
-    * string is hashed per CAP. Every 1,024 CAPs the builder charges their
-    * members to `budget`, and throws [[Halted]] once the budget is spent
-    * or halted. [[result]] puts the CAPs in export order. One builder is
-    * filled by one thread.
+  /** Builds a table over a fixed names array from CAPs added one at a
+    * time, in any order. A search adds each CAP as indices into `names`
+    * ([[add]]), so no string is looked at per CAP; a [[Cap]] is added by
+    * looking its names up ([[+=]]). Every 1,024 CAPs the builder charges
+    * their members to `budget`, and throws [[Halted]] once the budget is
+    * spent or halted. [[result]] puts the CAPs in export order, over all of
+    * `names`. One builder is filled by one thread; the tables of builders
+    * over one names array are joined by [[merge]].
+    *
+    * @param names distinct names, strictly ascending in `String` order
     */
-  private[core] final class Builder(budget: Budget = new Budget(Long.MaxValue)) {
-    private val index = new java.util.HashMap[String, Integer]
-    private val seen = ArrayBuffer.empty[String]
+  private[core] final class Builder(val names: Array[String], budget: Budget = new Budget(Long.MaxValue)) {
     private val bounds = new ArrayBuilder.ofInt
     private val members = new ArrayBuilder.ofInt
     private val support = new ArrayBuilder.ofLong
@@ -173,42 +180,21 @@ object CapTable {
     /** The number of CAPs added. */
     def length: Int = support.length
 
-    /** The builder's index of each of `ns`. */
-    def names(ns: Array[String]): Array[Int] = ns.map(intern)
-
-    private def intern(name: String): Int = {
-      val known = index.putIfAbsent(name, seen.length)
-      if (known != null) known.intValue
-      else {
-        seen += name
-        seen.length - 1
-      }
+    /** The index of `name` in [[names]]. */
+    def indexOf(name: String): Int = {
+      val m = Arrays.binarySearch(names.asInstanceOf[Array[AnyRef]], name: AnyRef)
+      require(m >= 0, s"'$name' is not a name of this builder")
+      m
     }
 
-    /** Adds the CAP whose attributes are `attributeNames(codes(k))` and
-      * whose sensors are `sensorNames(ranks(k))`, for k below `nCodes` and
-      * `nRanks`; the name tables hold indices from [[names]].
+    /** Adds the CAP whose attributes are `names(attributes(k))` for k below
+      * `nAttributes`, and whose sensors are `names(sensors(k))` for k below
+      * `nSensors`.
       */
-    def add(codes: Array[Int], nCodes: Int, attributeNames: Array[Int], ranks: Array[Int], nRanks: Int,
-        sensorNames: Array[Int], support: Long): Unit = {
-      var k = 0
-      while (k < nCodes) { members += attributeNames(codes(k)); k += 1 }
+    def add(attributes: Array[Int], nAttributes: Int, sensors: Array[Int], nSensors: Int, support: Long): Unit = {
+      members.addAll(attributes, 0, nAttributes)
       bounds += members.length
-      k = 0
-      while (k < nRanks) { members += sensorNames(ranks(k)); k += 1 }
-      added(support)
-    }
-
-    /** Adds `cap`, interning each of its names. */
-    def +=(cap: Cap): this.type = {
-      cap.attributes.foreach(a => members += intern(a))
-      bounds += members.length
-      cap.sensors.foreach(s => members += intern(s))
-      added(cap.support)
-      this
-    }
-
-    private def added(support: Long): Unit = {
+      members.addAll(sensors, 0, nSensors)
       bounds += members.length
       this.support += support
       uncharged += 1
@@ -220,20 +206,16 @@ object CapTable {
       }
     }
 
-    /** The CAPs added, in export order; names that no CAP holds are left
-      * out.
-      */
-    def result(): CapTable = {
-      val ms = members.result()
-      val used = new Array[Boolean](seen.length)
-      ms.foreach(used(_) = true)
-      val names = seen.indices.filter(used).map(seen).toArray.sorted
-      val rank = new Array[Int](seen.length)
-      names.indices.foreach(r => rank(index.get(names(r))) = r)
-      var k = 0
-      while (k < ms.length) { ms(k) = rank(ms(k)); k += 1 }
-      inExportOrder(new Columns(names, bounds.result(), ms, support.result()))
+    /** Adds `cap`, whose names must all be in [[names]]. */
+    def +=(cap: Cap): this.type = {
+      val attributes = cap.attributes.map(indexOf).toArray
+      val sensors = cap.sensors.map(indexOf).toArray
+      add(attributes, attributes.length, sensors, sensors.length, cap.support)
+      this
     }
+
+    /** The CAPs added, in export order, over [[names]]. */
+    def result(): CapTable = inExportOrder(new Columns(names, bounds.result(), members.result(), support.result()))
   }
 
   /** A CAP table's columns, in any CAP order. */

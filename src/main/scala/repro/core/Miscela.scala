@@ -72,8 +72,9 @@ final class GridSeries(val t: Array[Int], val values: Array[Double], val present
   *    round-robin to min(defaultParallelism, units) threads ([[deal]]). One
   *    large component is thus searched on every core, and many small ones
   *    share a few threads. Each thread puts its CAPs in its own
-  *    [[CapTable.Builder]] and sorts its table; [[CapTable.merge]] joins
-  *    the threads' tables.
+  *    [[CapTable.Builder]], over one names array that the call fixes
+  *    first, and sorts its table; [[CapTable.merge]] joins the threads'
+  *    tables.
   *
   * The temporal chart's series ([[series]]) are read off the same stage
   * 1–2 shuffle, by one job over only the shuffled partitions that hold the
@@ -248,7 +249,6 @@ object Miscela {
     * that time the search stage in isolation (T3) call it directly.
     */
   def assembleComponents(
-      spark: SparkSession,
       data: DataFrame,
       locations: DataFrame,
       params: CapParams,
@@ -287,7 +287,7 @@ object Miscela {
       params: CapParams,
   ): (Dataset[CompSensor], Dataset[CompEdge], Int) = {
     import spark.implicits._
-    val (comps, nT) = assembleComponents(spark, data, locations, params)
+    val (comps, nT) = assembleComponents(data, locations, params)
     (comps.flatMap(_._1).toDS(), comps.flatMap(_._2).toDS(), nT)
   }
 
@@ -313,7 +313,7 @@ object Miscela {
       params: CapParams,
       useNaive: Boolean = false,
   ): CapTable = {
-    val (comps, nT) = assembleComponents(spark, data, locations, params)
+    val (comps, nT) = assembleComponents(data, locations, params)
     search(comps, nT, params, useNaive, spark.sparkContext.defaultParallelism)
   }
 
@@ -341,8 +341,11 @@ object Miscela {
   /** Stage 4 on the driver: each share of [[deal]] runs on its own thread,
     * the calling thread taking the first, and fills its own
     * [[CapTable.Builder]], searching each component it holds a root of
-    * over those roots only; then it sorts its table. The tables are merged
-    * once every thread has ended. No thread outlives the call.
+    * over those roots only; then it sorts its table. The builders share one
+    * names array, the sorted distinct ids and attributes of the searched
+    * components, and each component's bitsets and adjacency are built once,
+    * by the first thread that reads them ([[Searchable]]). The tables are
+    * merged once every thread has ended. No thread outlives the call.
     *
     * The builders charge their members to one budget, `memberBudget`, by
     * default the heap's maximum size over [[heapBytesPerMember]]. When it is
@@ -359,19 +362,19 @@ object Miscela {
       parallelism: Int,
       memberBudget: Long = Runtime.getRuntime.maxMemory / heapBytesPerMember,
   ): CapTable = {
-    val components = comps.toIndexedSeq
-    val shares = deal(components, parallelism)
+    val components = comps.toIndexedSeq.map { case (sensors, edges) => new Searchable(sensors, edges, nT) }
+    val shares = deal(comps, parallelism)
+    val names = namesOf(comps.iterator.map(_._1).filter(_.length >= 2))
     val budget = new CapTable.Budget(memberBudget)
     val tables = new Array[CapTable](shares.length)
     val reached = new Array[Int](shares.length)
     val failure = new AtomicReference[Throwable]
     def run(j: Int): Unit = {
-      val builder = new CapTable.Builder(budget)
+      val builder = new CapTable.Builder(names, budget)
       try {
         shares(j).groupBy(_._1).toSeq.sortBy(_._1).foreach { case (c, units) =>
           if (budget.halted) throw CapTable.Halted
-          val (sensors, edges) = components(c)
-          searchInto(sensors, edges, nT, params, useNaive, builder, units.map(_._2).toSet)
+          searchInto(components(c), params, useNaive, builder, units.map(_._2).toSet)
         }
         tables(j) = builder.result()
       } catch {
@@ -413,10 +416,43 @@ object Miscela {
     CapTable.merge(tables.toSeq)
   }
 
+  /** The sorted distinct ids and attributes of `components`' sensors. */
+  private def namesOf(components: Iterator[Array[CompSensor]]): Array[String] =
+    components.flatMap(_.iterator.flatMap(s => Iterator(s.id, s.attribute))).distinct.toArray.sorted
+
+  /** One assembled component as the search reads it (see
+    * [[assembleComponents]]): its sensors in id order with their bitsets,
+    * and its adjacency over those indices, so root r is the sensor with the
+    * r-th smallest id. They are built on first use, by the thread that
+    * reads them first; the others wait for them. A build that throws
+    * throws on that thread, and is tried again by the next reader.
+    */
+  private final class Searchable(sensors: Array[CompSensor], edges: Array[CompEdge], nT: Int) {
+    lazy val (events, adj) = {
+      val ordered = sensors.sortBy(_.id)
+      val idx = ordered.iterator.map(_.id).zipWithIndex.toMap
+      val events = ordered.map { s =>
+        val plus = Bits.empty(nT)
+        s.plus.foreach(Bits.set(plus, _))
+        val minus = Bits.empty(nT)
+        s.minus.foreach(Bits.set(minus, _))
+        SensorEvents(s.id, s.attribute, plus, minus)
+      }
+      val adj = Array.fill(events.length)(Set.newBuilder[Int])
+      edges.foreach { e =>
+        // Edges may touch sensors pruned for lack of support; skip those.
+        (idx.get(e.src), idx.get(e.dst)) match {
+          case (Some(a), Some(b)) if a != b => adj(a) += b; adj(b) += a
+          case _                            =>
+        }
+      }
+      (events, adj.map(_.result().toArray.sorted))
+    }
+  }
+
   /** Builds one assembled component's in-memory structures (see
-    * [[assembleComponents]]) and runs the chosen search on it, over the
-    * selected roots, as a table in export order. Members are indexed in id
-    * order, so root r is the sensor with the r-th smallest id.
+    * [[Searchable]]) and runs the chosen search on it, over the selected
+    * roots, as a table in export order.
     */
   def searchAssembled(
       sensors: Array[CompSensor],
@@ -426,41 +462,22 @@ object Miscela {
       useNaive: Boolean,
       roots: Int => Boolean = _ => true,
   ): CapTable = {
-    val builder = new CapTable.Builder
-    searchInto(sensors, edges, nT, params, useNaive, builder, roots)
-    builder.result()
+    if (sensors.length < 2) return CapTable(Nil)
+    val builder = new CapTable.Builder(namesOf(Iterator(sensors)))
+    searchInto(new Searchable(sensors, edges, nT), params, useNaive, builder, roots)
+    CapTable.merge(Seq(builder.result()))
   }
 
-  /** [[searchAssembled]], adding the CAPs to `into`. */
+  /** Runs the chosen search on `component` over the selected roots, adding
+    * the CAPs to `into`.
+    */
   private def searchInto(
-      sensors: Array[CompSensor],
-      edges: Array[CompEdge],
-      nT: Int,
+      component: Searchable,
       params: CapParams,
       useNaive: Boolean,
       into: CapTable.Builder,
       roots: Int => Boolean,
-  ): Unit = {
-    if (sensors.length < 2) return
-    val ordered = sensors.sortBy(_.id)
-    val idx = ordered.iterator.map(_.id).zipWithIndex.toMap
-    val events = ordered.map { s =>
-      val plus = Bits.empty(nT)
-      s.plus.foreach(Bits.set(plus, _))
-      val minus = Bits.empty(nT)
-      s.minus.foreach(Bits.set(minus, _))
-      SensorEvents(s.id, s.attribute, plus, minus)
-    }
-    val adj = Array.fill(events.length)(Set.newBuilder[Int])
-    edges.foreach { e =>
-      // Edges may touch sensors pruned for lack of support; skip those.
-      (idx.get(e.src), idx.get(e.dst)) match {
-        case (Some(a), Some(b)) if a != b => adj(a) += b; adj(b) += a
-        case _                            =>
-      }
-    }
-    val adjArr = adj.map(_.result().toArray.sorted)
-    if (useNaive) NaiveSearch.enumerate(events, adjArr, params, roots).foreach(into += _)
-    else CapSearch.enumerateInto(events, adjArr, params, into, roots)
-  }
+  ): Unit =
+    if (useNaive) NaiveSearch.enumerate(component.events, component.adj, params, roots).foreach(into += _)
+    else CapSearch.enumerateInto(component.events, component.adj, params, into, roots)
 }

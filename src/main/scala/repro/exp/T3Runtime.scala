@@ -37,7 +37,7 @@ object T3Runtime {
       params: CapParams,
       config: String,
   ): RuntimeRow = {
-    val (comps, nT) = Miscela.assembleComponents(spark, ds.data, ds.locations, params)
+    val (comps, nT) = Miscela.assembleComponents(ds.data, ds.locations, params)
     def run(naive: Boolean): (Seq[Cap], Double) = {
       def search() = comps.flatMap { case (sensors, edges) =>
         Miscela.searchAssembled(sensors, edges, nT, params, useNaive = naive)

@@ -2,8 +2,6 @@ package repro.core
 
 import scala.util.Random
 
-import org.apache.spark.SparkConf
-import org.apache.spark.serializer.JavaSerializer
 import org.scalatest.funsuite.AnyFunSuite
 
 /** The export order as it was before the CAP table, kept as the oracle of
@@ -53,6 +51,18 @@ object CapTableSpec {
       def list(max: Int) = Seq.fill(rnd.nextInt(max + 1))(names(rnd.nextInt(names.length)))
       Cap(list(3), list(4), rnd.nextInt(4).toLong)
     }
+
+  /** The table of each of `parts`, all built over one names array: the
+    * names of every part's CAPs plus `unused`, which no CAP holds.
+    */
+  def sharedTables(parts: Seq[Seq[Cap]], unused: Seq[String] = Nil): Seq[CapTable] = {
+    val names = (parts.flatten.flatMap(c => c.attributes ++ c.sensors) ++ unused).distinct.sorted.toArray
+    parts.map { caps =>
+      val builder = new CapTable.Builder(names)
+      caps.foreach(builder += _)
+      builder.result()
+    }
+  }
 }
 
 class CapTableSpec extends AnyFunSuite {
@@ -94,7 +104,7 @@ class CapTableSpec extends AnyFunSuite {
     val all = runs.flatten
     assert(JoinedOrder.holds(CapTable(all), all))
     assert(CapTable(rnd.shuffle(all)) == CapTable(all))
-    val merged = CapTable.merge(runs.map(CapTable(_)))
+    val merged = CapTable.merge(sharedTables(runs))
     assert(merged == CapTable(all))
     assert(merged.names.toSeq == CapTable(all).names.toSeq)
   }
@@ -113,34 +123,44 @@ class CapTableSpec extends AnyFunSuite {
         // Each CAP goes to one of 1–6 parts, so some parts may stay empty.
         val k = 1 + rnd.nextInt(6)
         val parts = caps.groupBy(_ => rnd.nextInt(k)).values.toSeq ++ Seq.fill(rnd.nextInt(3))(Nil)
-        same(CapTable.merge(rnd.shuffle(parts).map(CapTable(_))), CapTable(caps), s"round $round")
-        // Parts over disjoint names: each part's table knows only its own.
+        // The shared names also hold names that no CAP holds: the merged
+        // table drops them.
+        val unused = Seq(s"unused $round", "") ++ rnd.shuffle(trickyNames).take(rnd.nextInt(4))
+        same(CapTable.merge(sharedTables(rnd.shuffle(parts), unused)), CapTable(caps), s"round $round")
+        // Parts over disjoint names: each part's CAPs hold only its own.
         val (left, right) = names.splitAt(names.length / 2)
         val disjoint = Seq(randomCaps(rnd, rnd.nextInt(100), left), randomCaps(rnd, rnd.nextInt(100), right))
-        same(CapTable.merge(disjoint.map(CapTable(_))), CapTable(disjoint.flatten), s"round $round, disjoint")
+        same(CapTable.merge(sharedTables(disjoint)), CapTable(disjoint.flatten), s"round $round, disjoint")
       }
     }
+  }
+
+  test("tables over different names arrays are not merged") {
+    val a = CapTable(Seq(Cap(Seq("a"), Seq("s1"), 1)))
+    val b = CapTable(Seq(Cap(Seq("b"), Seq("s1"), 1)))
+    intercept[IllegalArgumentException](CapTable.merge(Seq(a, b)))
+    assert(CapTable.merge(Seq(a, a)) == Seq(a.head, a.head))
   }
 
   test("property: the merged tables of k builders equal the table of all their CAPs, names included") {
     val rnd = new Random(16)
     (0 until 25).foreach { round =>
-      val names = rnd.shuffle(trickyNames).take(2 + rnd.nextInt(trickyNames.length - 1)).toArray
+      val names = rnd.shuffle(trickyNames).take(2 + rnd.nextInt(trickyNames.length - 1))
       val caps = rnd.shuffle(randomCaps(rnd, rnd.nextInt(3000), names) ++ colliding)
-      // Each CAP goes to one of 1–6 builders, added either as a Cap or as
-      // indices into a name table that also holds names no CAP uses.
-      val builders = IndexedSeq.fill(1 + rnd.nextInt(6))(new CapTable.Builder)
+      // Each CAP goes to one of 1–6 builders over one names array, which
+      // also holds a name no CAP uses, added either as a Cap or as indices.
+      val shared = (names ++ colliding.flatMap(c => c.attributes ++ c.sensors) :+ s"unused $round").distinct.sorted.toArray
+      val builders = IndexedSeq.fill(1 + rnd.nextInt(6))(new CapTable.Builder(shared))
       caps.foreach { c =>
         val b = builders(rnd.nextInt(builders.length))
         if (rnd.nextBoolean()) b += c
         else {
-          val table = b.names(names ++ c.attributes ++ c.sensors :+ s"unused $round")
-          val index = (names ++ c.attributes ++ c.sensors).zipWithIndex.toMap
-          val codes = c.attributes.map(index).toArray
-          val ranks = c.sensors.map(index).toArray
-          b.add(codes, codes.length, table, ranks, ranks.length, table, c.support)
+          val attributes = c.attributes.map(b.indexOf).toArray
+          val sensors = c.sensors.map(b.indexOf).toArray
+          b.add(attributes, attributes.length, sensors, sensors.length, c.support)
         }
       }
+      intercept[IllegalArgumentException](builders.head += Cap(Seq(s"absent $round"), Nil, 1))
       val want = CapTable(caps)
       val got = CapTable.merge(builders.map(_.result()))
       assert(got == want, s"round $round")
@@ -151,8 +171,9 @@ class CapTableSpec extends AnyFunSuite {
 
   test("a builder stops at its budget, and at once when the budget is halted") {
     val budget = new CapTable.Budget(6000)
-    val b = new CapTable.Builder(budget)
     val cap = Cap(Seq("a", "b"), Seq("s1", "s2", "s3"), 1)
+    val names = Array("a", "b", "s1", "s2", "s3")
+    val b = new CapTable.Builder(names, budget)
     // 5 members a CAP, charged every 1,024 CAPs: the first charge fits.
     (0 until 1024).foreach(_ => b += cap)
     assert(!budget.halted && !budget.exceeded)
@@ -160,18 +181,9 @@ class CapTableSpec extends AnyFunSuite {
     assert(budget.halted && budget.exceeded && b.length == 2048)
     val halted = new CapTable.Budget(Long.MaxValue)
     halted.halt()
-    val other = new CapTable.Builder(halted)
+    val other = new CapTable.Builder(names, halted)
     intercept[CapTable.Halted.type]((0 until 1024).foreach(_ => other += cap))
     assert(!halted.exceeded && other.length == 1024)
-  }
-
-  test("a table read back through Spark's Java serializer is equal") {
-    val t = CapTable(randomCaps(new Random(5), 200, trickyNames) ++ colliding)
-    val serializer = new JavaSerializer(new SparkConf()).newInstance()
-    val back = serializer.deserialize[CapTable](serializer.serialize(t))
-    assert(back == t)
-    assert(back.names.toSeq == t.names.toSeq && back.bounds.toSeq == t.bounds.toSeq &&
-      back.members.toSeq == t.members.toSeq && back.support.toSeq == t.support.toSeq)
   }
 
   test("distinct CAPs whose lists join to the same strings keep one order") {

@@ -36,7 +36,7 @@ object TinyWorld {
     */
   def evolving(spark: org.apache.spark.sql.SparkSession, data: DataFrame, locs: DataFrame,
                params: CapParams): Map[String, Set[(Int, Int)]] =
-    Miscela.assembleComponents(spark, data, locs, params.copy(psi = 1))._1.flatMap(_._1)
+    Miscela.assembleComponents(data, locs, params.copy(psi = 1))._1.flatMap(_._1)
       .map(s => s.id -> (s.plus.map((_, 1)) ++ s.minus.map((_, -1))).toSet).toMap
 
   /** A step series: starts at `base`, jumps by the given deltas at the

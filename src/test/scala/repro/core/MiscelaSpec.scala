@@ -133,7 +133,7 @@ class MiscelaSpec extends SparkSpec {
   test("assembleComponents groups sensors and edges consistently with mine") {
     val (data, locs) = world()
     val params = CapParams(epsilon = 1.0, etaKm = 0.5, mu = 3, psi = 2, maxSensors = 3)
-    val (comps, nT) = Miscela.assembleComponents(spark, data, locs, params)
+    val (comps, nT) = Miscela.assembleComponents(data, locs, params)
     assert(comps.size == 2)
     val viaAssembly = comps.flatMap { case (s, e) =>
       Miscela.searchAssembled(s, e, nT, params, useNaive = false)
@@ -204,7 +204,7 @@ class MiscelaSpec extends SparkSpec {
     val data = dataDf(spark, sensors.map(s => s -> stepSeries(n, 10, jumpsA)).toMap)
     val locs = locDf(spark, sensors.zipWithIndex.map { case ((id, a), i) => (id, a, 43.4 + i * 0.003, -3.8) })
     val params = CapParams(epsilon = 1.0, etaKm = 0.5, mu = 3, psi = 2, maxSensors = 3)
-    val (comps, _) = Miscela.assembleComponents(spark, data, locs, params)
+    val (comps, _) = Miscela.assembleComponents(data, locs, params)
     assert(comps.size == 1 && comps.head._1.length == 60 && comps.head._2.length == 59)
     val fast = canon(Miscela.mine(spark, data, locs, params).collect().toSeq)
     val slow = canon(Miscela.mine(spark, data, locs, params, useNaive = true).collect().toSeq)
@@ -273,7 +273,7 @@ class MiscelaSpec extends SparkSpec {
     val data = dataDf(spark, sites.map(s => (s._1, s._2) -> co).toMap)
     val locs = locDf(spark, sites)
     val parallelism = spark.sparkContext.defaultParallelism
-    val (comps, nT) = Miscela.assembleComponents(spark, data, locs, edgeParams)
+    val (comps, nT) = Miscela.assembleComponents(data, locs, edgeParams)
     assert(comps.size == 41)
     val shares = Miscela.deal(comps, parallelism)
     val c = comps.indexWhere(_._1.exists(_.id == "c1"))
@@ -391,6 +391,46 @@ class MiscelaSpec extends SparkSpec {
     assert(heapAfterGc() - beforeFailing < tableBytes / 2, "a failing call left its tables reachable")
   }
 
+  test("property: stage 4 over one shared name index equals itself on one thread and the brute-force search") {
+    // Hand-made components whose ids and attributes come from one pool of
+    // names that stress the export order: an id may equal another sensor's
+    // attribute, some names are prefixes of others, and some lists join to
+    // the same string. Lone sensors add names that no CAP can hold.
+    val pool = (CapTableSpec.trickyNames ++ CapTableSpec.colliding.flatMap(c => c.attributes ++ c.sensors)).distinct
+    val rnd = new Random(17)
+    val nT = 70
+    def events() = (0 until nT).filter(_ => rnd.nextDouble() < 0.4)
+    var found = 0
+    (0 until 30).foreach { round =>
+      val ids = rnd.shuffle(pool)
+      val attributes = rnd.shuffle(pool).take(2 + rnd.nextInt(3))
+      val sizes = Seq.fill(1 + rnd.nextInt(4))(1 + rnd.nextInt(7))
+      val starts = sizes.scanLeft(0)(_ + _)
+      val comps = sizes.indices.map { c =>
+        val members = ids.slice(starts(c), starts(c + 1)).map { id =>
+          val (plus, minus) = events().partition(_ => rnd.nextBoolean())
+          CompSensor(s"c$c", id, attributes(rnd.nextInt(attributes.length)), plus, minus)
+        }.toArray
+        val edges = for {
+          i <- members.indices; j <- members.indices if i < j && rnd.nextDouble() < 0.6
+        } yield CompEdge(s"c$c", members(i).id, members(j).id)
+        (members, edges.toArray)
+      }
+      val p = CapParams(psi = 1 + rnd.nextInt(8), mu = 1 + rnd.nextInt(3), maxSensors = 2 + rnd.nextInt(3),
+        allowSingleAttribute = rnd.nextBoolean())
+      val k = 2 + rnd.nextInt(7)
+      val one = Miscela.search(comps, nT, p, useNaive = false, parallelism = 1)
+      Seq(Miscela.search(comps, nT, p, useNaive = false, k), Miscela.search(comps, nT, p, useNaive = true, k))
+        .foreach { got =>
+          assert(got.names.sameElements(one.names) && got.bounds.sameElements(one.bounds) &&
+            got.members.sameElements(one.members) && got.support.sameElements(one.support), s"round $round, $p, k $k")
+        }
+      assert(one.names.toSeq == one.flatMap(c => c.attributes ++ c.sensors).distinct.sorted, s"round $round: names")
+      found += one.length
+    }
+    assert(found > 0, "no CAP in any round: the comparison is vacuous")
+  }
+
   test("property: stage 4 on k threads equals stage 4 on one thread over T2's parameter grid") {
     // T2's sweeps around perfbench's Santander request, each searched on
     // one thread and on a random number of threads.
@@ -404,7 +444,7 @@ class MiscelaSpec extends SparkSpec {
     locs.persist()
     try {
       val sizes = grid.map { p =>
-        val (comps, nT) = Miscela.assembleComponents(spark, data, locs, p)
+        val (comps, nT) = Miscela.assembleComponents(data, locs, p)
         val one = Miscela.search(comps, nT, p, useNaive = false, parallelism = 1)
         val k = 2 + rnd.nextInt(7)
         val many = Miscela.search(comps, nT, p, useNaive = false, k)
@@ -427,7 +467,7 @@ class MiscelaSpec extends SparkSpec {
     val sites = (0 until math.max(8, k)).map(i => (f"s$i%02d", attrs(i % 3), 43.46 + i * 0.001, -3.8))
     val data = dataDf(spark, sites.map(s => (s._1, s._2) -> co).toMap)
     val locs = locDf(spark, sites)
-    val ((comps, _), run) = observe("stages-1-2")(Miscela.assembleComponents(spark, data, locs, edgeParams))
+    val ((comps, _), run) = observe("stages-1-2")(Miscela.assembleComponents(data, locs, edgeParams))
     assert(comps.flatMap(_._1).length == sites.length)
     // A job's result stage is created after its parents, so it has the
     // job's highest stage id; every other stage submitted is a shuffle map.
@@ -457,7 +497,7 @@ class MiscelaSpec extends SparkSpec {
     assert(partitionsPerSensor.size == 3 && partitionsPerSensor.values.forall(_ >= 3), partitionsPerSensor)
     val locs = locDf(spark, Seq("a", "b", "c").map(id => (id, "temperature", 43.46, -3.8)))
     def lists(data: DataFrame, params: CapParams) = {
-      val (comps, nT) = Miscela.assembleComponents(spark, data, locs, params)
+      val (comps, nT) = Miscela.assembleComponents(data, locs, params)
       (comps.flatMap(_._1).map(s => (s.id, s.plus, s.minus)).sortBy(_._1), nT)
     }
     Seq(CapParams(epsilon = 1.0, psi = 1), CapParams(epsilon = 0.5, delta = 0.5, psi = 1)).foreach { params =>
@@ -485,12 +525,12 @@ class MiscelaSpec extends SparkSpec {
     val retuned = params.copy(psi = 3, delta = 0.5)
     // Before persisting: the plan of another frame over the same rows would
     // find the same cache entry.
-    val unpersisted = comparable(Miscela.assembleComponents(spark, data, locs, retuned))
+    val unpersisted = comparable(Miscela.assembleComponents(data, locs, retuned))
     data.persist()
     locs.persist()
     try {
-      Miscela.assembleComponents(spark, data, locs, params)
-      val (again, run) = observe("repeated")(Miscela.assembleComponents(spark, data, locs, retuned))
+      Miscela.assembleComponents(data, locs, params)
+      val (again, run) = observe("repeated")(Miscela.assembleComponents(data, locs, retuned))
       assert(run.jobs.size == 1, s"${run.jobs.size} Spark jobs")
       assert(shuffleMaps(run).isEmpty, s"shuffle map stages run: ${shuffleMaps(run).map(_.name)}")
       assert(comparable(again) == unpersisted)
@@ -510,8 +550,8 @@ class MiscelaSpec extends SparkSpec {
     data.persist()
     locs.persist()
     try {
-      assert(ids(Miscela.assembleComponents(spark, data, locs, high)) == Seq("a1", "a2"))
-      val (assembled, run) = observe("lower-psi")(Miscela.assembleComponents(spark, data, locs, low))
+      assert(ids(Miscela.assembleComponents(data, locs, high)) == Seq("a1", "a2"))
+      val (assembled, run) = observe("lower-psi")(Miscela.assembleComponents(data, locs, low))
       assert(run.jobs.isEmpty, s"${run.jobs.size} Spark jobs for stages 1-3")
       assert(ids(assembled) == Seq("a1", "a2", "a3", "b1", "b2"))
       val (caps, mining) = observe("lower-psi-mine")(Miscela.mine(spark, data, locs, low))
@@ -532,12 +572,12 @@ class MiscelaSpec extends SparkSpec {
     val locs = locDf(spark, Seq(("w", "temperature", 0.0, 0.0), ("p", "trafficVolume", 0.0001, 0.0)))
     val base = CapParams(epsilon = 1.0, etaKm = 1.0, psi = 1, maxSensors = 2)
     val session = Seq(base, base.copy(delta = 3.0), base, base.copy(epsilon = 3.0), base.copy(psi = 2), base)
-    val unpersisted = session.distinct.map(p => p -> comparable(Miscela.assembleComponents(spark, data, locs, p))).toMap
+    val unpersisted = session.distinct.map(p => p -> comparable(Miscela.assembleComponents(data, locs, p))).toMap
     assert(session.zip(session.tail).forall { case (a, b) => unpersisted(a) != unpersisted(b) },
       "each request must move the lists")
     data.persist()
     locs.persist()
-    try session.foreach(p => assert(comparable(Miscela.assembleComponents(spark, data, locs, p)) == unpersisted(p), p))
+    try session.foreach(p => assert(comparable(Miscela.assembleComponents(data, locs, p)) == unpersisted(p), p))
     finally {
       data.unpersist()
       locs.unpersist()
@@ -609,8 +649,8 @@ class MiscelaSpec extends SparkSpec {
           val got = Miscela.mine(spark, data, locs, p)
           assert(got == Miscela.mine(spark, coldData, coldLocs, p), p)
           // Stages 1-3 too: the ψ-pruned event lists and components.
-          assert(comparable(Miscela.assembleComponents(spark, data, locs, p)) ==
-            comparable(Miscela.assembleComponents(spark, coldData, coldLocs, p)), p)
+          assert(comparable(Miscela.assembleComponents(data, locs, p)) ==
+            comparable(Miscela.assembleComponents(coldData, coldLocs, p)), p)
           got.length
         }
         assert(sizes.exists(_ > 0), sizes)
@@ -638,7 +678,7 @@ class MiscelaSpec extends SparkSpec {
       .schema("id STRING, attribute STRING, time TIMESTAMP, data DOUBLE").csv(file.toString)
     val locs = locDf(spark, Seq(("x", "temperature", 43.46, -3.8), ("y", "light", 43.4601, -3.8)))
     val params = CapParams(epsilon = 1.0, etaKm = 0.5, psi = 1, maxSensors = 2)
-    def plusLists() = Miscela.assembleComponents(spark, data, locs, params)._1.flatMap(_._1)
+    def plusLists() = Miscela.assembleComponents(data, locs, params)._1.flatMap(_._1)
       .map(s => s.id -> s.plus).toMap
     def support() = Miscela.mine(spark, data, locs, params).collect().map(_.support).toSeq
     data.persist()

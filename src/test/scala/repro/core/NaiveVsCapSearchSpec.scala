@@ -32,21 +32,23 @@ class NaiveVsCapSearchSpec extends AnyFunSuite {
       (1 to 20).foreach { round =>
         val params = CapParams(psi = 1 + r.nextInt(6), mu = 1 + r.nextInt(4), maxSensors = 2 + r.nextInt(5),
           signPolicy = policy, allowSingleAttribute = single)
-        // One builder over 1-3 components, each searched over a random
-        // half of its roots, with ids and attributes from the same names.
+        // 1-3 components, each searched over a random half of its roots,
+        // with ids and attributes from the same names, so that an id may
+        // equal another sensor's attribute. The pruned search goes into one
+        // builder over all their names; the brute-force search emits the
+        // CAPs that builder must hold.
         val names = r.shuffle(CapTableSpec.trickyNames)
-        val builder = new CapTable.Builder
-        val emitted = (0 until 1 + r.nextInt(3)).flatMap { _ =>
+        val comps = (0 until 1 + r.nextInt(3)).map { _ =>
           val (sensors, adj) = randomComponent(r, 9, 32)
           val named = sensors.zipWithIndex.map { case (s, i) =>
-            s.copy(id = names(i), attribute = names(names.length - 1 - s.attribute.last.asDigit))
+            s.copy(id = names(i), attribute = names(3 + s.attribute.last.asDigit))
           }
-          val roots = sensors.indices.filter(_ => r.nextBoolean()).toSet
-          CapSearch.enumerateInto(named, adj, params, builder, roots)
-          CapSearch.enumerate(named, adj, params, roots)
+          (named, adj, sensors.indices.filter(_ => r.nextBoolean()).toSet)
         }
-        val got = builder.result()
-        val want = CapTable(emitted)
+        val builder = new CapTable.Builder(comps.flatMap(_._1).flatMap(s => Seq(s.id, s.attribute)).distinct.sorted.toArray)
+        comps.foreach { case (named, adj, roots) => CapSearch.enumerateInto(named, adj, params, builder, roots) }
+        val got = CapTable.merge(Seq(builder.result()))
+        val want = CapTable(comps.flatMap { case (named, adj, roots) => NaiveSearch.enumerate(named, adj, params, roots) })
         assert(got == want, s"round $round, $params")
         assert(got.names.toSeq == want.names.toSeq, s"round $round, $params: names")
       }
