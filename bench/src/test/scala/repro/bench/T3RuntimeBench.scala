@@ -22,7 +22,7 @@ class T3RuntimeBench extends SparkSpec {
     ("china6 sf=0.002 (~19 sensors)", SmartCityData.china6(spark, 0.002)),
     ("china6 sf=0.004 (~38 sensors)", SmartCityData.china6(spark, 0.004)),
     ("china6 sf=0.007 (~66 sensors)", SmartCityData.china6(spark, 0.007)),
-  ).map { case (label, ds) => T3Runtime.compareSearchOnly(spark, ds, params, label) }
+  ).map { case (label, ds) => T3Runtime.compareSearchOnly(ds, params, label) }
 
   test("T3: print the runtime table") {
     println(T3Runtime.table(rows, "T3 search runtime: MISCELA vs naive enumeration"))

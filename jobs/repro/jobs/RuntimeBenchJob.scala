@@ -22,7 +22,7 @@ object RuntimeBenchJob {
         ("psi=100 maxS=4", CapParams(psi = 100, maxSensors = 4)),
         ("psi=50 maxS=5", CapParams(psi = 50, maxSensors = 5)),
         ("psi=20 maxS=6", CapParams(psi = 20, maxSensors = 6)),
-      ).map { case (label, p) => T3Runtime.compareSearchOnly(spark, ds, p, label) }
+      ).map { case (label, p) => T3Runtime.compareSearchOnly(ds, p, label) }
       println(T3Runtime.table(rows, s"T3 search runtime (${ds.name}, sf=${a.dbl("sf", 0.1)})"))
     } finally spark.stop()
   }

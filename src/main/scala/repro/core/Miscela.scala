@@ -4,6 +4,8 @@ import java.util.concurrent.atomic.AtomicReference
 
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuilder
+import scala.concurrent.Await
+import scala.concurrent.duration.Duration
 
 import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
@@ -168,7 +170,7 @@ object Miscela {
     val perPartition = shuffled
       .mapPartitions(ps => Iterator(TimeIndex.grid(Array.concat(ps.map(_._2.micros).toSeq: _*))))
       .collect()
-    (shuffled, TimeIndex.grid(Array.concat(perPartition: _*)))
+    (shuffled, TimeIndex.grid(perPartition.flatten))
   }
 
   private val preparedData = new PerPersistedFrame[Unit, (RDD[(String, Readings)], Array[Long])]
@@ -203,24 +205,36 @@ object Miscela {
   private val evolvedData = new PerPersistedFrame[(Double, Double), (Array[(String, Array[Int], Array[Int])], Int)]
 
   /** The readings of each sensor in `ids` that `data` (id, attribute,
-    * time, data) holds, with the time grid they are indexed on. One job
-    * over the shuffled readings ([[prepare]]) runs one task per partition
-    * that the shuffle's partitioner assigns a wanted id to; each task keeps
-    * only the wanted sensors' partials before merging them. On a persisted
-    * frame the shuffle is kept, so the job reads its files and runs no map
-    * stage. With no ids, no job runs.
+    * time, data) holds, indexed on the time grid, with `onGrid` of that
+    * grid. One job over the shuffled readings ([[prepare]]) runs one task
+    * per partition that the shuffle's partitioner assigns a wanted id to;
+    * each task keeps only the wanted sensors' partials before merging them.
+    * `onGrid` runs on the calling thread while the job runs, and the job is
+    * cancelled if it throws. On a persisted frame the shuffle is kept, so
+    * the job reads its files and runs no map stage. With no ids, no job
+    * runs and `onGrid` gets the empty grid. A failed job's exception is
+    * rethrown as it is.
     */
-  def series(data: DataFrame, ids: Seq[String]): (Array[Long], Map[String, GridSeries]) =
-    if (ids.isEmpty) (Array.emptyLongArray, Map.empty)
+  def series[A](data: DataFrame, ids: Seq[String])(onGrid: Array[Long] => A): (A, Map[String, GridSeries]) =
+    if (ids.isEmpty) (onGrid(Array.emptyLongArray), Map.empty)
     else {
       val (shuffled, grid) = prepare(data)
       val wanted = ids.toSet
       val partitions = wanted.toSeq.map(shuffled.partitioner.get.getPartition).distinct.sorted
-      val fetched = data.sparkSession.sparkContext.runJob(shuffled, (ps: Iterator[(String, Readings)]) =>
+      val fetched = new Array[Array[(String, GridSeries)]](partitions.length)
+      val job = data.sparkSession.sparkContext.submitJob(shuffled, (ps: Iterator[(String, Readings)]) =>
         merged(ps.filter(p => wanted(p._1))).map { case (id, r) =>
           id -> new GridSeries(r.micros.map(TimeIndex.indexOf(grid, _)), r.values, r.present)
-        }.toArray, partitions)
-      (grid, fetched.iterator.flatten.toMap)
+        }.toArray, partitions, (i: Int, sensors: Array[(String, GridSeries)]) => fetched(i) = sensors, ())
+      try {
+        val meanwhile = onGrid(grid)
+        Await.result(job, Duration.Inf)
+        (meanwhile, fetched.iterator.flatten.toMap)
+      } catch {
+        case e: Throwable =>
+          if (!job.isCompleted) job.cancel()
+          throw e
+      }
     }
 
   /** The sensor registry `locations` (id, attribute, lat, lon), collected,

@@ -1,7 +1,5 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
-
 import repro.core.{Cap, CapParams, Miscela}
 import repro.data.SmartCityDataset
 
@@ -32,7 +30,6 @@ object T3Runtime {
     * warm-up; times are in fractional milliseconds.
     */
   def compareSearchOnly(
-      spark: SparkSession,
       ds: SmartCityDataset,
       params: CapParams,
       config: String,

@@ -1,7 +1,8 @@
 package repro.viz
 
+import java.io.OutputStream
 import java.nio.charset.StandardCharsets.UTF_8
-import java.nio.file.{Files, Path}
+import java.nio.file.{Files, Path, StandardOpenOption}
 
 /** Minimal JSON writer (no third-party JSON dependency is resolvable in
   * this sealed build), with correct string escaping. Values are modelled
@@ -30,16 +31,40 @@ final case class JObj(fields: Seq[(String, JValue)]) extends JValue
 /** JSON text written beforehand by a [[JsonOut]] writer; renders as is. */
 final case class JRaw(json: String) extends JValue
 
-/** UTF-8 JSON text in one growable byte buffer: the writer behind every
-  * payload, whether it comes from a [[JValue]] tree or straight from a
-  * CAP table.
+/** UTF-8 JSON text, the writer behind every payload, whether it comes
+  * from a [[JValue]] tree or straight from a CAP table. In memory
+  * (`new JsonOut`) the text grows in one byte buffer; on a file
+  * ([[JsonOut.open]]) it passes through a buffer of fixed size, which is
+  * written out whenever the next write would overflow it, so a payload
+  * takes no more heap than the buffer. A byte array wider than the buffer
+  * goes to the file as it is.
   */
-private[viz] final class JsonOut {
-  private var buf = new Array[Byte](1 << 13)
+private[viz] final class JsonOut private (sink: Option[OutputStream], capacity: Int) {
+  def this() = this(None, 1 << 13)
+
+  private var buf = new Array[Byte](capacity)
   private var size = 0
 
+  /** Makes room for `n` more bytes: on a file by writing the buffer out,
+    * in memory by growing it. A file's buffer grows only for one `ascii`
+    * or `long` write wider than it.
+    */
   private def room(n: Int): Unit =
-    if (size + n > buf.length) buf = java.util.Arrays.copyOf(buf, math.max(2 * buf.length, size + n))
+    if (size + n > buf.length) sink match {
+      case Some(_) =>
+        flush()
+        if (n > buf.length) buf = new Array[Byte](n)
+      case None => buf = java.util.Arrays.copyOf(buf, math.max(2 * buf.length, size + n))
+    }
+
+  /** Of a writer on a file: writes out the buffer. */
+  def flush(): Unit = sink.foreach { file =>
+    file.write(buf, 0, size)
+    size = 0
+  }
+
+  /** Of a writer on a file: closes the file, without a flush. */
+  def close(): Unit = sink.foreach(_.close())
 
   def byte(c: Char): JsonOut = {
     room(1)
@@ -57,11 +82,16 @@ private[viz] final class JsonOut {
     this
   }
 
-  def bytes(b: Array[Byte]): JsonOut = {
-    room(b.length)
-    System.arraycopy(b, 0, buf, size, b.length)
-    size += b.length
-    this
+  def bytes(b: Array[Byte]): JsonOut = sink match {
+    case Some(file) if b.length > buf.length =>
+      flush()
+      file.write(b)
+      this
+    case _ =>
+      room(b.length)
+      System.arraycopy(b, 0, buf, size, b.length)
+      size += b.length
+      this
   }
 
   /** Appends `x` in decimal. */
@@ -91,11 +121,33 @@ private[viz] final class JsonOut {
   /** Appends `s` as a JSON string literal. */
   def str(s: String): JsonOut = bytes(Json.quoted(s))
 
+  /** The text written so far, of an in-memory writer. */
   def text: String = new String(buf, 0, size, UTF_8)
 
-  def writeTo(path: Path): Unit = {
-    val file = Files.newOutputStream(path)
-    try file.write(buf, 0, size) finally file.close()
+  /** The bytes written so far, of an in-memory writer. */
+  def toBytes: Array[Byte] = java.util.Arrays.copyOf(buf, size)
+}
+
+private[viz] object JsonOut {
+
+  /** The buffer of a writer on a file. */
+  val FileBuffer: Int = 1 << 16
+
+  /** A writer on a new file `path`, which it opens, through a buffer of
+    * `capacity` bytes. A file already at `path` is an error. The text is
+    * all in the file once [[JsonOut.flush]] has run, and the caller closes
+    * the writer.
+    */
+  def open(path: Path, capacity: Int = FileBuffer): JsonOut =
+    new JsonOut(Some(Files.newOutputStream(path, StandardOpenOption.CREATE_NEW, StandardOpenOption.WRITE)), capacity)
+
+  /** Writes `body`'s text to a new file `path` ([[open]]). */
+  def write(path: Path, capacity: Int = FileBuffer)(body: JsonOut => Unit): Unit = {
+    val out = open(path, capacity)
+    try {
+      body(out)
+      out.flush()
+    } finally out.close()
   }
 }
 

@@ -1,8 +1,12 @@
 package repro.viz
 
-import java.nio.file.{Files, Path, Paths}
+import java.nio.file.{Files, Path, Paths, StandardCopyOption}
+import java.time.ZoneId
+import java.util.concurrent.ThreadLocalRandom
+import java.util.concurrent.atomic.{AtomicReference, AtomicReferenceArray}
 
 import scala.collection.Searching.Found
+import scala.collection.mutable
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.util.{DateTimeUtils, LegacyDateFormats, TimestampFormatter}
@@ -35,14 +39,24 @@ import repro.core.{Cap, CapTable, GridSeries, Miscela}
   * runs one task per shuffled partition holding a wanted sensor. Each
   * sensor arrives as primitive arrays of grid indices, values and presence
   * flags, and is written to bytes too: the grid times are formatted once
-  * per call in the session time zone, as `date_format` formats them.
+  * per call in the session time zone, as `date_format` formats them, while
+  * the job runs, and each sensor's points are rendered once per call, each
+  * sensor on one of a few threads, however many top CAPs list it.
+  *
+  * [[writeAll]] writes the payloads at once, on the calling thread and on
+  * threads that it starts and joins: the series job runs while `caps.json`
+  * and the GeoJSON are written. Each payload streams to a staging file
+  * through a buffer of fixed size ([[JsonOut.open]]), so no payload is
+  * held whole in memory, and the staging files are renamed over the
+  * payloads only once every writer has succeeded.
   *
   * The GeoJSON takes its sensors from [[Miscela.registry]], the collected
   * registry that stage 3 reads too. For a persisted `locations` frame it is
   * collected once, and for a persisted `data` frame the shuffle is kept, so
   * on persisted frames a [[writeAll]] after [[Miscela.mine]] (or after a
   * cache hit that follows one) runs one Spark job, the series read, and no
-  * shuffle map stage.
+  * shuffle map stage. On a `data` frame that is not persisted it runs two,
+  * the grid job and the series read, over one shuffle.
   */
 object JsonExport {
 
@@ -65,26 +79,41 @@ object JsonExport {
     * zone, ordered by that text, then by time. The bytes are those of
     * [[writeAll]]'s series files, from the same writer.
     */
-  def seriesJson(data: DataFrame, cap: Cap): JValue = rendered(seriesWriters(data, Seq(cap)).head)
+  def seriesJson(data: DataFrame, cap: Cap): JValue = rendered(seriesWriters(data, Seq(cap))(()).head)
 
   /** Writes the three payloads of a mining run's CAPs under `dir`; series
     * is emitted for the top 3 CAPs by support, and a series file that an
     * earlier run with more top CAPs left in `dir` is deleted. Returns the
     * paths written.
+    *
+    * The payloads are written at once: the series read and the series
+    * files on the calling thread (see [[seriesWriters]]), `caps.json` and
+    * `sensors.geojson` each on a thread that the call starts and joins.
+    * Each streams to a staging file in `dir`, and the series files are
+    * opened while the series job runs; once every thread has ended, the
+    * staging files are renamed over the payloads. So if a writer or the
+    * series read fails, every payload of an earlier run stays as it was,
+    * and the first failure is rethrown as it is.
     */
   def writeAll(dir: String, caps: Seq[Cap], locations: DataFrame, data: DataFrame): Seq[String] = {
     val base = Paths.get(dir)
     Files.createDirectories(base)
     val table = CapTable(caps)
-    val written = Seq(
-      write(base.resolve("caps.json"))(writeCaps(_, table)),
-      write(base.resolve("sensors.geojson"))(writeSensors(_, locations, table)),
-    )
-    val tops = seriesWriters(data, topBySupport(table.support, TopSeries).map(table(_))).zipWithIndex.map {
-      case (body, i) => write(base.resolve(s"series-$i.json"))(body)
-    }
+    val tops = topBySupport(table.support, TopSeries).map(table(_))
+    val names = Seq("caps.json", "sensors.geojson") ++ tops.indices.map(i => s"series-$i.json")
+    val tag = java.lang.Long.toHexString(ThreadLocalRandom.current().nextLong())
+    val staged = names.map(name => base.resolve(s".$name.$tag.staging"))
+    try {
+      forkJoin("json-payload", Seq(
+        () => writeSeries(data, tops, staged.drop(2)),
+        () => JsonOut.write(staged(0))(writeCaps(_, table)),
+        () => JsonOut.write(staged(1))(writeSensors(_, locations, table)),
+      ))
+      // rename(2), which replaces an existing payload in one step.
+      staged.zip(names).foreach { case (from, name) => Files.move(from, base.resolve(name), StandardCopyOption.ATOMIC_MOVE) }
+    } finally staged.foreach(Files.deleteIfExists) // only after a failure is one still there
     (tops.length until TopSeries).foreach(i => Files.deleteIfExists(base.resolve(s"series-$i.json")))
-    written ++ tops
+    names.map(base.resolve(_).toString)
   }
 
   private val TopSeries = 3
@@ -160,26 +189,39 @@ object JsonExport {
     out.ascii("]}")
   }
 
-  /** Writers of the series payloads of `caps`, in order, fed by one Spark
-    * job over the union of their sensors ([[Miscela.series]]). Each grid
-    * time is formatted and quoted once, as `date_format(time, "yyyy-MM-dd
-    * HH:mm:ss")` formats it in the session time zone, and a sensor's points
-    * are put in the order of that text, then of time: one primitive sort
-    * per sensor of (rank of its grid index in that order, reading
-    * position). With no CAPs, [[Miscela.series]] runs no job.
+  /** Writes the series payloads of `caps` to new files `paths`, in order,
+    * opening the files while the series job runs.
     */
-  private def seriesWriters(data: DataFrame, caps: Seq[Cap]): Seq[JsonOut => Unit] = {
-    val (grid, fetched) = Miscela.series(data, caps.flatMap(_.sensors).distinct)
+  private def writeSeries(data: DataFrame, caps: Seq[Cap], paths: Seq[Path]): Unit = {
+    val files = mutable.ArrayBuffer.empty[JsonOut]
+    try {
+      seriesWriters(data, caps)(paths.foreach(p => files += JsonOut.open(p))).zip(files).foreach { case (body, out) =>
+        body(out)
+        out.flush()
+      }
+    } finally files.foreach(_.close())
+  }
+
+  /** Writers of the series payloads of `caps`, in order, fed by one Spark
+    * job over the union of their sensors ([[Miscela.series]]). While the
+    * job runs, `meanwhile` runs, and each grid time is formatted and quoted
+    * once, as `date_format(time, "yyyy-MM-dd HH:mm:ss")` formats it in the
+    * session time zone, and ranked by that text. Then each sensor that has
+    * readings gets its points rendered once, however many of `caps` list
+    * it, on min(defaultParallelism, sensors) threads, this one among them;
+    * the writers splice those bytes. A sensor's points are put in the
+    * order of their text, then of time: one primitive sort per sensor of
+    * (rank of its grid index, reading position). With no CAPs,
+    * [[Miscela.series]] runs no job.
+    */
+  private def seriesWriters(data: DataFrame, caps: Seq[Cap])(meanwhile: => Unit): Seq[JsonOut => Unit] = {
     val zone = DateTimeUtils.getZoneId(data.sparkSession.conf.get(SQLConf.SESSION_LOCAL_TIMEZONE.key))
-    val formatter = TimestampFormatter("yyyy-MM-dd HH:mm:ss", zone, LegacyDateFormats.SIMPLE_DATE_FORMAT,
-      isParsing = false)
-    val texts = grid.map(formatter.format)
-    val quoted = texts.map(Json.quoted)
-    // Grid indices are in time order, so a stable sort by text leaves
-    // equal texts (a repeated hour as clocks fall back) in time order.
-    val rank = new Array[Int](grid.length)
-    grid.indices.sortBy(texts(_)).zipWithIndex.foreach { case (t, r) => rank(t) = r }
-    def points(out: JsonOut, s: GridSeries): Unit = {
+    val ((quoted, rank), fetched) = Miscela.series(data, caps.flatMap(_.sensors).distinct) { grid =>
+      meanwhile
+      timeTexts(zone, grid)
+    }
+    def points(s: GridSeries): Array[Byte] = {
+      val out = new JsonOut
       val order = Array.tabulate(s.t.length)(j => rank(s.t(j)).toLong << 32 | j)
       java.util.Arrays.sort(order)
       var k = 0
@@ -191,17 +233,65 @@ object JsonExport {
         out.byte(']')
         k += 1
       }
+      out.toBytes
     }
+    val sensors = fetched.toIndexedSeq
+    val k = math.min(data.sparkSession.sparkContext.defaultParallelism, sensors.length)
+    val pointsOf = forkJoin("json-points", Seq.tabulate(k) { j =>
+      () => sensors.indices.drop(j).by(k).map(i => sensors(i)._1 -> points(sensors(i)._2))
+    }).flatten.toMap
     caps.map(cap => (out: JsonOut) => {
       out.byte('[')
-      cap.sensors.filter(fetched.contains).sorted.zipWithIndex.foreach { case (id, i) =>
+      cap.sensors.filter(pointsOf.contains).sorted.zipWithIndex.foreach { case (id, i) =>
         if (i > 0) out.byte(',')
-        out.ascii("{\"sensor\":").str(id).ascii(",\"points\":[")
-        points(out, fetched(id))
-        out.ascii("]}")
+        out.ascii("{\"sensor\":").str(id).ascii(",\"points\":[").bytes(pointsOf(id)).ascii("]}")
       }
       out.byte(']')
     })
+  }
+
+  /** Each time of `grid` formatted in `zone` and quoted, and the rank of
+    * each time in the order of those texts. Grid indices are in time
+    * order, so a stable sort by text leaves equal texts (a repeated hour as
+    * clocks fall back) in time order.
+    */
+  private def timeTexts(zone: ZoneId, grid: Array[Long]): (Array[Array[Byte]], Array[Int]) = {
+    val formatter = TimestampFormatter("yyyy-MM-dd HH:mm:ss", zone, LegacyDateFormats.SIMPLE_DATE_FORMAT,
+      isParsing = false)
+    val texts = grid.map(formatter.format)
+    val rank = new Array[Int](grid.length)
+    grid.indices.sortBy(texts(_)).zipWithIndex.foreach { case (t, r) => rank(t) = r }
+    (texts.map(Json.quoted), rank)
+  }
+
+  /** Runs the tasks at once, task 0 on the calling thread and task j > 0 on
+    * a thread of its own named `name-j`, and returns their results in order
+    * once every thread has ended. A thread started here inherits the
+    * caller's Spark local properties, so its jobs keep the caller's job
+    * group. The first failure, in time, is rethrown as it is, after the
+    * join.
+    */
+  private def forkJoin[A](name: String, tasks: Seq[() => A]): Seq[A] = {
+    val results = new AtomicReferenceArray[Any](tasks.length)
+    val failure = new AtomicReference[Throwable]
+    def run(j: Int): Unit = try results.set(j, tasks(j)()) catch { case e: Throwable => failure.compareAndSet(null, e) }
+    val threads = (1 until tasks.length).map(j => new Thread(() => run(j), s"$name-$j"))
+    try {
+      threads.foreach(_.start())
+      if (tasks.nonEmpty) run(0)
+    } catch { case e: Throwable => failure.compareAndSet(null, e) }
+    finally {
+      var interrupted = false
+      threads.foreach { t =>
+        while (t.isAlive) {
+          try t.join()
+          catch { case _: InterruptedException => interrupted = true }
+        }
+      }
+      if (interrupted) Thread.currentThread().interrupt()
+    }
+    Option(failure.get).foreach(e => throw e)
+    tasks.indices.map(results.get(_).asInstanceOf[A])
   }
 
   /** The indices of the `k` CAPs of highest support, earlier first among
@@ -221,12 +311,5 @@ object JsonExport {
     val out = new JsonOut
     body(out)
     JRaw(out.text)
-  }
-
-  private def write(path: Path)(body: JsonOut => Unit): String = {
-    val out = new JsonOut
-    body(out)
-    out.writeTo(path)
-    path.toString
   }
 }

@@ -5,6 +5,7 @@ import java.nio.file.{Files, Path, Paths}
 import java.security.MessageDigest
 
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 
 import com.fasterxml.jackson.databind.ObjectMapper
@@ -408,6 +409,48 @@ class JsonExportSpec extends SparkSpec {
     } finally {
       data.unpersist()
       locs.unpersist()
+    }
+  }
+
+  test("on frames that are not persisted writeAll shuffles the readings once: 2 jobs, 1 shuffle map stage") {
+    val (data, locs) = (fallBackFrame(), fallBackLocations())
+    inUtc {
+      val dir = Files.createTempDirectory("viz-unpersisted")
+      val (_, run) = observe("unpersisted-export")(JsonExport.writeAll(dir.toString, fallBackCaps, locs, data))
+      assert(run.jobs.size == 2, s"${run.jobs.size} Spark jobs (the grid job and the series read)")
+      val resultStages = run.jobs.map(_.stageIds.max)
+      val shuffleMaps = run.stages.filterNot(s => resultStages.contains(s.stageId))
+      assert(shuffleMaps.size == 1, s"shuffle map stages run: ${shuffleMaps.map(_.name)}")
+      fallBackCaps.take(3).zipWithIndex.foreach { case (cap, i) =>
+        assert(Files.readAllBytes(dir.resolve(s"series-$i.json")).toSeq == TreeExport.seriesJson(data, cap).toSeq)
+      }
+    }
+  }
+
+  /** The live threads that `writeAll` names. */
+  private def writerThreads(): Set[String] =
+    Thread.getAllStackTraces.keySet.asScala.filter(t => t.getName.startsWith("json-") && t.isAlive).map(_.getName).toSet
+
+  test("a failing series read is rethrown once every writer thread has ended, with the earlier payloads kept") {
+    val (data, locs) = (fallBackFrame(), fallBackLocations())
+    val failing = data.withColumn("data",
+      when(col("id") === lit(fallBackCaps.head.sensors.head), raise_error(lit("no readings today")))
+        .otherwise(col("data")))
+    val dir = Files.createTempDirectory("viz-failure")
+    inUtc {
+      JsonExport.writeAll(dir.toString, fallBackCaps, locs, data)
+      assert(writerThreads().isEmpty, "writer threads alive after a call")
+      val earlier = payloads(dir)
+      assert(earlier.size == 5)
+      // Two top CAPs: had the call gone through, caps.json would differ and
+      // series-2.json would be gone.
+      val e = intercept[Exception](JsonExport.writeAll(dir.toString, fallBackCaps.take(2), locs, failing))
+      // The series read's own exception, not a wrapper of it.
+      val read = intercept[Exception](Miscela.series(failing, fallBackCaps.head.sensors)(identity))
+      assert(e.getClass == read.getClass && e.getMessage == read.getMessage && e.getMessage.contains("no readings today"),
+        e.toString)
+      assert(writerThreads().isEmpty, "writer threads alive after a failing call")
+      assert(payloads(dir) == earlier)
     }
   }
 

@@ -1,5 +1,7 @@
 package repro.viz
 
+import java.nio.file.Files
+
 import scala.jdk.CollectionConverters._
 
 import com.fasterxml.jackson.databind.{JsonNode, ObjectMapper}
@@ -7,6 +9,8 @@ import com.fasterxml.jackson.databind.{JsonNode, ObjectMapper}
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+
+import repro.core.CapTableSpec
 
 /** The writer is validated by parsing its output with Jackson (which ships
   * with Spark) — if Jackson accepts it and the values round-trip, the JSON
@@ -155,5 +159,52 @@ class JsonSpec extends AnyFunSuite {
     }
     val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(500).withInitialSeed(Seed(4L)), prop)
     assert(result.passed, result.status)
+  }
+
+  /** One write to a [[JsonOut]]: bytes, keys, numbers, quoted names (the
+    * CAP tables' tricky names among them) and byte arrays of up to 300
+    * bytes.
+    */
+  private val write: Gen[JsonOut => JsonOut] = Gen.frequency(
+    3 -> Gen.oneOf('[', ']', ',', ':', '{', '}').map(c => (out: JsonOut) => out.byte(c)),
+    2 -> Gen.oneOf("{\"capId\":", ",\"points\":[", "null", "]}", "").map(s => (out: JsonOut) => out.ascii(s)),
+    3 -> Gen.oneOf(CapTableSpec.trickyNames).map(s => (out: JsonOut) => out.str(s)),
+    2 -> text.map(s => (out: JsonOut) => out.str(s)),
+    2 -> Gen.oneOf(Gen.choose(Long.MinValue, Long.MaxValue), Gen.choose(0L, 1000L)).map(x => (out: JsonOut) => out.long(x)),
+    2 -> number.map(x => (out: JsonOut) => out.num(x)),
+    2 -> Gen.choose(0, 300).flatMap(n => Gen.listOfN(n, Gen.oneOf(CapTableSpec.trickyNames)))
+      .map(names => names.mkString("\u00e9").getBytes("UTF-8")).map(b => (out: JsonOut) => out.bytes(b)),
+  )
+
+  /** The bytes `writes` leave in an in-memory [[JsonOut]] and in a file
+    * written through a buffer of `capacity` bytes.
+    */
+  private def memoryAndFile(writes: Seq[JsonOut => JsonOut], capacity: Int): (Seq[Byte], Seq[Byte]) = {
+    val memory = new JsonOut
+    writes.foreach(_(memory))
+    val path = Files.createTempDirectory("json-out").resolve("payload.json")
+    try {
+      JsonOut.write(path, capacity)(out => writes.foreach(_(out)))
+      (memory.toBytes.toSeq, Files.readAllBytes(path).toSeq)
+    } finally Files.deleteIfExists(path)
+  }
+
+  test("property: a JsonOut on a file writes the bytes of one in memory, across flushes and wide arrays") {
+    val capacity = Gen.oneOf(1, 2, 3, 7, 16, 64, 257, JsonOut.FileBuffer)
+    val prop = Prop.forAll(capacity, Gen.resize(200, Gen.listOf(write))) { (capacity, writes) =>
+      val (memory, file) = memoryAndFile(writes, capacity)
+      memory == file
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(Seed(18L)), prop)
+    assert(result.passed, result.status)
+  }
+
+  test("a file payload several buffers long is the bytes of the one in memory") {
+    val names = CapTableSpec.trickyNames
+    val wide = Array.fill(3 * JsonOut.FileBuffer + 5)('x'.toByte)
+    val writes = (0 until 20000).map(i => (out: JsonOut) => out.str(names(i % names.length)).byte(',').long(i)) :+
+      ((out: JsonOut) => out.bytes(wide)) :+ ((out: JsonOut) => out.ascii("]"))
+    val (memory, file) = memoryAndFile(writes, JsonOut.FileBuffer)
+    assert(file.length > 4 * JsonOut.FileBuffer && file == memory)
   }
 }
