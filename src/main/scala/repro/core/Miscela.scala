@@ -1,7 +1,5 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicReference
-
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuilder
 import scala.concurrent.Await
@@ -71,12 +69,12 @@ final class GridSeries(val t: Array[Int], val values: Array[Double], val present
   *    different roots are independent ([[CapSearch]]), so the unit of work
   *    is a (component, root) pair: the units of the components with at
   *    least two sensors are numbered in component order and dealt
-  *    round-robin to min(defaultParallelism, units) threads ([[deal]]). One
-  *    large component is thus searched on every core, and many small ones
-  *    share a few threads. Each thread puts its CAPs in its own
-  *    [[CapTable.Builder]], over one names array that the call fixes
-  *    first, and sorts its table; [[CapTable.merge]] joins the threads'
-  *    tables.
+  *    round-robin to min(defaultParallelism, units) shares ([[deal]]),
+  *    each run as one task of a [[ForkJoin]]. One large component is thus
+  *    searched on every core, and many small ones share a few threads.
+  *    Each task puts its CAPs in its own [[CapTable.Builder]], over one
+  *    names array that the call fixes first, and sorts its table;
+  *    [[CapTable.merge]] joins the tasks' tables.
   *
   * The temporal chart's series ([[series]]) are read off the same stage
   * 1–2 shuffle, by one job over only the shuffled partitions that hold the
@@ -319,6 +317,8 @@ object Miscela {
     * @return all CAPs of the dataset under `params`
     * @throws IllegalStateException if the CAPs outgrow the heap's budget
     *         (see [[search]])
+    * @throws InterruptedException if the caller is interrupted while it
+    *         waits for stage 4's threads
     */
   def mine(
       spark: SparkSession,
@@ -333,17 +333,16 @@ object Miscela {
 
   /** Stage 4's units of work: the (component, root) pairs of the components
     * in `comps` with at least two sensors (a lone sensor has no pattern),
-    * numbered in component order and dealt round-robin to k =
-    * min(parallelism, units) shares, at least one. Share j holds the units
-    * whose number is j modulo k, as (index into `comps`, root).
+    * numbered in component order and dealt to shares by [[ForkJoin.deal]].
+    * Share j of k holds the units whose number is j modulo k, as (index
+    * into `comps`, root).
     */
   private[core] def deal(comps: Seq[(Array[CompSensor], Array[CompEdge])], parallelism: Int): Seq[Seq[(Int, Int)]] = {
     val units = (for {
       (c, i) <- comps.iterator.zipWithIndex if c._1.length >= 2
       root <- c._1.indices
     } yield (i, root)).toVector
-    val k = math.max(1, math.min(parallelism, units.length))
-    Seq.tabulate(k)(j => units.indices.drop(j).by(k).map(units))
+    ForkJoin.deal(units.length, parallelism).map(_.map(units))
   }
 
   /** Heap bytes allowed per CAP member while stage 4 runs. A member costs 4
@@ -352,21 +351,22 @@ object Miscela {
     */
   private val heapBytesPerMember = 64
 
-  /** Stage 4 on the driver: each share of [[deal]] runs on its own thread,
-    * the calling thread taking the first, and fills its own
-    * [[CapTable.Builder]], searching each component it holds a root of
-    * over those roots only; then it sorts its table. The builders share one
-    * names array, the sorted distinct ids and attributes of the searched
-    * components, and each component's bitsets and adjacency are built once,
-    * by the first thread that reads them ([[Searchable]]). The tables are
-    * merged once every thread has ended. No thread outlives the call.
+  /** Stage 4 on the driver: one [[ForkJoin]] task per share of [[deal]]
+    * (threads `cap-search-j`, the calling thread taking share 0). Each task
+    * fills its own [[CapTable.Builder]], searching each component it holds
+    * a root of over those roots only, and sorts its table. The builders
+    * share one names array, the sorted distinct ids and attributes of the
+    * searched components, and each component's bitsets and adjacency are
+    * built once, by the first thread that reads them ([[Searchable]]).
+    * [[CapTable.merge]] joins the tables once every thread has ended.
     *
     * The builders charge their members to one budget, `memberBudget`, by
-    * default the heap's maximum size over [[heapBytesPerMember]]. When it is
-    * spent every thread stops, and an `IllegalStateException` says how many
-    * CAPs were reached and which parameters to change, rather than the heap
-    * running out. An exception in any unit stops the other threads and is
-    * rethrown as it is.
+    * default the heap's maximum size over [[heapBytesPerMember]]. It is
+    * halted when spent and by the fork/join's `stop`; a halted task stops
+    * at its next 1,024 CAPs or component and yields no table. A spent
+    * budget throws an `IllegalStateException` that says how many CAPs were
+    * reached and which parameters to change, rather than the heap running
+    * out; a failing unit or an interrupt surfaces by [[ForkJoin]]'s rule.
     */
   private[core] def search(
       comps: Seq[(Array[CompSensor], Array[CompEdge])],
@@ -377,62 +377,28 @@ object Miscela {
       memberBudget: Long = Runtime.getRuntime.maxMemory / heapBytesPerMember,
   ): CapTable = {
     val components = comps.toIndexedSeq.map { case (sensors, edges) => new Searchable(sensors, edges, nT) }
-    val shares = deal(comps, parallelism)
-    val names = namesOf(comps.iterator.map(_._1).filter(_.length >= 2))
+    val names = comps.iterator.filter(_._1.length >= 2)
+      .flatMap(_._1.iterator.flatMap(s => Iterator(s.id, s.attribute))).distinct.toArray.sorted
     val budget = new CapTable.Budget(memberBudget)
-    val tables = new Array[CapTable](shares.length)
-    val reached = new Array[Int](shares.length)
-    val failure = new AtomicReference[Throwable]
-    def run(j: Int): Unit = {
+    // Each share's table, or the number of CAPs it had reached when halted.
+    val searched = ForkJoin("cap-search", deal(comps, parallelism).map { share => () =>
       val builder = new CapTable.Builder(names, budget)
       try {
-        shares(j).groupBy(_._1).toSeq.sortBy(_._1).foreach { case (c, units) =>
+        share.groupBy(_._1).toSeq.sortBy(_._1).foreach { case (c, units) =>
           if (budget.halted) throw CapTable.Halted
           searchInto(components(c), params, useNaive, builder, units.map(_._2).toSet)
         }
-        tables(j) = builder.result()
-      } catch {
-        case CapTable.Halted =>
-        case e: Throwable =>
-          failure.compareAndSet(null, e)
-          budget.halt()
-      } finally reached(j) = builder.length
-    }
-    val threads = (1 until shares.length).map(j => new Thread(() => run(j), s"cap-search-$j"))
-    try {
-      threads.foreach(_.start())
-      run(0)
-    } catch {
-      case e: Throwable =>
-        failure.compareAndSet(null, e)
-        budget.halt()
-    } finally {
-      var interrupted = false
-      threads.foreach { t =>
-        while (t.isAlive) {
-          try t.join()
-          catch {
-            case _: InterruptedException =>
-              interrupted = true
-              budget.halt()
-          }
-        }
-      }
-      if (interrupted) Thread.currentThread().interrupt()
-    }
-    Option(failure.get).foreach(e => throw e)
+        Right(builder.result())
+      } catch { case CapTable.Halted => Left(builder.length) }
+    }, stop = () => budget.halt())
     if (budget.exceeded)
       throw new IllegalStateException(
-        s"CAP search stopped at ${reached.map(_.toLong).sum} CAPs: their members passed the budget of " +
-          s"${budget.limit} for a ${Runtime.getRuntime.maxMemory / 1000000} MB heap. Raise psi (now " +
+        s"CAP search stopped at ${searched.map(_.fold(_.toLong, _.length.toLong)).sum} CAPs: their members passed " +
+          s"the budget of ${budget.limit} for a ${Runtime.getRuntime.maxMemory / 1000000} MB heap. Raise psi (now " +
           s"${params.psi}), or lower eta (now ${params.etaKm} km), mu (now ${params.mu}) or maxSensors " +
           s"(now ${params.maxSensors}).")
-    CapTable.merge(tables.toSeq)
+    CapTable.merge(searched.collect { case Right(table) => table })
   }
-
-  /** The sorted distinct ids and attributes of `components`' sensors. */
-  private def namesOf(components: Iterator[Array[CompSensor]]): Array[String] =
-    components.flatMap(_.iterator.flatMap(s => Iterator(s.id, s.attribute))).distinct.toArray.sorted
 
   /** One assembled component as the search reads it (see
     * [[assembleComponents]]): its sensors in id order with their bitsets,
@@ -464,9 +430,10 @@ object Miscela {
     }
   }
 
-  /** Builds one assembled component's in-memory structures (see
-    * [[Searchable]]) and runs the chosen search on it, over the selected
-    * roots, as a table in export order.
+  /** Stage 4 on one assembled component (see [[assembleComponents]]), on
+    * the calling thread alone: [[search]] with parallelism 1, under the
+    * same CAP budget. Harnesses that time the search of each component
+    * (T3, the benchmark's traced path) call it.
     */
   def searchAssembled(
       sensors: Array[CompSensor],
@@ -474,13 +441,7 @@ object Miscela {
       nT: Int,
       params: CapParams,
       useNaive: Boolean,
-      roots: Int => Boolean = _ => true,
-  ): CapTable = {
-    if (sensors.length < 2) return CapTable(Nil)
-    val builder = new CapTable.Builder(namesOf(Iterator(sensors)))
-    searchInto(new Searchable(sensors, edges, nT), params, useNaive, builder, roots)
-    CapTable.merge(Seq(builder.result()))
-  }
+  ): CapTable = search(Seq(sensors -> edges), nT, params, useNaive, parallelism = 1)
 
   /** Runs the chosen search on `component` over the selected roots, adding
     * the CAPs to `into`.

@@ -3,7 +3,6 @@ package repro.viz
 import java.nio.file.{Files, Path, Paths, StandardCopyOption}
 import java.time.ZoneId
 import java.util.concurrent.ThreadLocalRandom
-import java.util.concurrent.atomic.{AtomicReference, AtomicReferenceArray}
 
 import scala.collection.Searching.Found
 import scala.collection.mutable
@@ -12,7 +11,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.util.{DateTimeUtils, LegacyDateFormats, TimestampFormatter}
 import org.apache.spark.sql.internal.SQLConf
 
-import repro.core.{Cap, CapTable, GridSeries, Miscela}
+import repro.core.{Cap, CapTable, ForkJoin, GridSeries, Miscela}
 
 /** The Spark-side boundary of MISCELA-V's visualization (Section 3):
   * CAP results, sensor locations, and time series are serialized to JSON
@@ -40,15 +39,16 @@ import repro.core.{Cap, CapTable, GridSeries, Miscela}
   * sensor arrives as primitive arrays of grid indices, values and presence
   * flags, and is written to bytes too: the grid times are formatted once
   * per call in the session time zone, as `date_format` formats them, while
-  * the job runs, and each sensor's points are rendered once per call, each
-  * sensor on one of a few threads, however many top CAPs list it.
+  * the job runs, and each sensor's points are rendered once per call,
+  * however many top CAPs list it, the sensors dealt to the tasks of one
+  * [[ForkJoin]].
   *
-  * [[writeAll]] writes the payloads at once, on the calling thread and on
-  * threads that it starts and joins: the series job runs while `caps.json`
-  * and the GeoJSON are written. Each payload streams to a staging file
-  * through a buffer of fixed size ([[JsonOut.open]]), so no payload is
-  * held whole in memory, and the staging files are renamed over the
-  * payloads only once every writer has succeeded.
+  * [[writeAll]] writes the payloads at once, as the three tasks of one
+  * [[ForkJoin]]: the series job runs while `caps.json` and the GeoJSON are
+  * written. Each payload streams to a staging file through a buffer of
+  * fixed size ([[JsonOut.open]]), so no payload is held whole in memory,
+  * and the staging files are renamed over the payloads only once every
+  * writer has succeeded.
   *
   * The GeoJSON takes its sensors from [[Miscela.registry]], the collected
   * registry that stage 3 reads too. For a persisted `locations` frame it is
@@ -86,14 +86,14 @@ object JsonExport {
     * earlier run with more top CAPs left in `dir` is deleted. Returns the
     * paths written.
     *
-    * The payloads are written at once: the series read and the series
-    * files on the calling thread (see [[seriesWriters]]), `caps.json` and
-    * `sensors.geojson` each on a thread that the call starts and joins.
+    * The payloads are written at once, as the tasks of one [[ForkJoin]]:
+    * the series read and the series files on the calling thread (see
+    * [[seriesWriters]]), `caps.json` and `sensors.geojson` on their own.
     * Each streams to a staging file in `dir`, and the series files are
-    * opened while the series job runs; once every thread has ended, the
-    * staging files are renamed over the payloads. So if a writer or the
-    * series read fails, every payload of an earlier run stays as it was,
-    * and the first failure is rethrown as it is.
+    * opened while the series job runs; the staging files are renamed over
+    * the payloads only if every task succeeds. So a failure or an
+    * interrupt leaves every payload of an earlier run as it was, and
+    * surfaces by [[ForkJoin]]'s rule.
     */
   def writeAll(dir: String, caps: Seq[Cap], locations: DataFrame, data: DataFrame): Seq[String] = {
     val base = Paths.get(dir)
@@ -104,7 +104,7 @@ object JsonExport {
     val tag = java.lang.Long.toHexString(ThreadLocalRandom.current().nextLong())
     val staged = names.map(name => base.resolve(s".$name.$tag.staging"))
     try {
-      forkJoin("json-payload", Seq(
+      ForkJoin("json-payload", Seq(
         () => writeSeries(data, tops, staged.drop(2)),
         () => JsonOut.write(staged(0))(writeCaps(_, table)),
         () => JsonOut.write(staged(1))(writeSensors(_, locations, table)),
@@ -208,7 +208,8 @@ object JsonExport {
     * once, as `date_format(time, "yyyy-MM-dd HH:mm:ss")` formats it in the
     * session time zone, and ranked by that text. Then each sensor that has
     * readings gets its points rendered once, however many of `caps` list
-    * it, on min(defaultParallelism, sensors) threads, this one among them;
+    * it, dealt to min(defaultParallelism, sensors) tasks of one
+    * [[ForkJoin]] (threads `json-points-j`, this one among them);
     * the writers splice those bytes. A sensor's points are put in the
     * order of their text, then of time: one primitive sort per sensor of
     * (rank of its grid index, reading position). With no CAPs,
@@ -236,9 +237,9 @@ object JsonExport {
       out.toBytes
     }
     val sensors = fetched.toIndexedSeq
-    val k = math.min(data.sparkSession.sparkContext.defaultParallelism, sensors.length)
-    val pointsOf = forkJoin("json-points", Seq.tabulate(k) { j =>
-      () => sensors.indices.drop(j).by(k).map(i => sensors(i)._1 -> points(sensors(i)._2))
+    val shares = ForkJoin.deal(sensors.length, data.sparkSession.sparkContext.defaultParallelism)
+    val pointsOf = ForkJoin("json-points", shares.map { share =>
+      () => share.map(i => sensors(i)._1 -> points(sensors(i)._2))
     }).flatten.toMap
     caps.map(cap => (out: JsonOut) => {
       out.byte('[')
@@ -262,36 +263,6 @@ object JsonExport {
     val rank = new Array[Int](grid.length)
     grid.indices.sortBy(texts(_)).zipWithIndex.foreach { case (t, r) => rank(t) = r }
     (texts.map(Json.quoted), rank)
-  }
-
-  /** Runs the tasks at once, task 0 on the calling thread and task j > 0 on
-    * a thread of its own named `name-j`, and returns their results in order
-    * once every thread has ended. A thread started here inherits the
-    * caller's Spark local properties, so its jobs keep the caller's job
-    * group. The first failure, in time, is rethrown as it is, after the
-    * join.
-    */
-  private def forkJoin[A](name: String, tasks: Seq[() => A]): Seq[A] = {
-    val results = new AtomicReferenceArray[Any](tasks.length)
-    val failure = new AtomicReference[Throwable]
-    def run(j: Int): Unit = try results.set(j, tasks(j)()) catch { case e: Throwable => failure.compareAndSet(null, e) }
-    val threads = (1 until tasks.length).map(j => new Thread(() => run(j), s"$name-$j"))
-    try {
-      threads.foreach(_.start())
-      if (tasks.nonEmpty) run(0)
-    } catch { case e: Throwable => failure.compareAndSet(null, e) }
-    finally {
-      var interrupted = false
-      threads.foreach { t =>
-        while (t.isAlive) {
-          try t.join()
-          catch { case _: InterruptedException => interrupted = true }
-        }
-      }
-      if (interrupted) Thread.currentThread().interrupt()
-    }
-    Option(failure.get).foreach(e => throw e)
-    tasks.indices.map(results.get(_).asInstanceOf[A])
   }
 
   /** The indices of the `k` CAPs of highest support, earlier first among

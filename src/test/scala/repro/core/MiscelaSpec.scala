@@ -391,6 +391,23 @@ class MiscelaSpec extends SparkSpec {
     assert(heapAfterGc() - beforeFailing < tableBytes / 2, "a failing call left its tables reachable")
   }
 
+  test("an interrupted caller of stage 4 gets an InterruptedException once every search thread has ended") {
+    // One 40-sensor clique dealt to 40 shares, one root each. Root 0 never
+    // evolves, so the calling thread's share ends at once and its wait for
+    // the helper threads, which hold the heavy roots, is interrupted.
+    val nT = 8
+    val (sensors, edges) = cliques(1, 40, nT).head
+    sensors(0) = sensors(0).copy(plus = Nil)
+    Thread.currentThread().interrupt()
+    try {
+      intercept[InterruptedException] {
+        Miscela.search(Seq(sensors -> edges), nT, CapParams(psi = 1, mu = 40, maxSensors = 5), useNaive = false,
+          parallelism = 40)
+      }
+      assert(searchThreads().isEmpty, "a search thread outlived an interrupted call")
+    } finally Thread.interrupted()
+  }
+
   test("property: stage 4 over one shared name index equals itself on one thread and the brute-force search") {
     // Hand-made components whose ids and attributes come from one pool of
     // names that stress the export order: an id may equal another sensor's
