@@ -65,21 +65,6 @@ object CapSearch {
     Bits.cardinality(members.map(bits(_, policy)).reduce(Bits.and))
   }
 
-  /** The CAPs of one component whose minimum member is a selected root, in
-    * export order: [[enumerateInto]] into a builder over the component's
-    * names.
-    */
-  def enumerate(
-      sensors: Array[SensorEvents],
-      adj: Array[Array[Int]],
-      params: CapParams,
-      roots: Int => Boolean = _ => true,
-  ): Seq[Cap] = {
-    val into = new CapTable.Builder(sensors.flatMap(s => Array(s.id, s.attribute)).distinct.sorted)
-    enumerateInto(sensors, adj, params, into, roots)
-    into.result()
-  }
-
   /** Adds to `into` the CAPs of one component whose minimum member is a
     * selected root. Each CAP goes in as its attributes' and sensors'
     * indices into the builder's names, which must hold every id and

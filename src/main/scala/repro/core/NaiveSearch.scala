@@ -32,8 +32,8 @@ object NaiveSearch {
   }
 
   /** Enumerates the CAPs of one component whose minimum member is a
-    * selected root — same contract as [[CapSearch.enumerate]],
-    * exponentially slower.
+    * selected root — the CAPs [[CapSearch.enumerateInto]] adds, in the
+    * order this search meets them, exponentially slower.
     */
   def enumerate(
       sensors: Array[SensorEvents],

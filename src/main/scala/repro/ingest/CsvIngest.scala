@@ -3,6 +3,7 @@ package repro.ingest
 import org.apache.spark.sql.{Row, SparkSession}
 import org.apache.spark.sql.functions._
 
+import repro.core.TimeIndex
 import repro.data.SmartCityDataset
 
 /** Reads the paper's upload format (Section 3.2): `data.csv`,
@@ -118,14 +119,8 @@ object CsvIngest {
       ).find(_._1 > 0).foreach { case (n, what) => throw ValidationError(s"$n $what") }
 
       // One synchronized grid: distinct inter-timestamp gaps must be equal,
-      // in the microseconds the mining grid uses. There are at most
-      // thousands of timestamps, so they are sorted here.
-      val gaps = rawData
-        .select(col("time")).distinct()
-        .select(unix_micros(col("time")))
-        .collect().map(_.getLong(0)).sorted
-        .sliding(2).collect { case Array(a, b) => b - a }
-        .toSet
+      // on the grid of microseconds that mining uses.
+      val gaps = TimeIndex.grid(rawData).sliding(2).collect { case Array(a, b) => b - a }.toSet
       if (gaps.size > 1)
         throw ValidationError(s"timestamps are not on one equal-interval grid: gaps=$gaps")
     }

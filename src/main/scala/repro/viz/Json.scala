@@ -4,35 +4,14 @@ import java.io.OutputStream
 import java.nio.charset.StandardCharsets.UTF_8
 import java.nio.file.{Files, Path, StandardOpenOption}
 
-/** Minimal JSON writer (no third-party JSON dependency is resolvable in
-  * this sealed build), with correct string escaping. Values are modelled
-  * as a tiny ADT; rendering is deterministic (object fields keep insertion
-  * order) so exports are diffable.
+/** JSON text as [[JsonExport]]'s one-payload functions return it:
+  * rendered by a [[JsonOut]] writer beforehand. A lone surrogate, which
+  * UTF-8 cannot encode, reads back as `?`, as in the payload files.
   */
-sealed trait JValue {
+final class JValue private[viz] (val render: String)
 
-  /** The JSON text: one depth-first walk writing one [[JsonOut]]. A lone
-    * surrogate, which UTF-8 cannot encode, reads back as `?`, as in the
-    * payload files.
-    */
-  def render: String = {
-    val out = new JsonOut
-    Json.write(this, out)
-    out.text
-  }
-}
-case object JNull extends JValue
-final case class JBool(b: Boolean) extends JValue
-final case class JNum(v: Double) extends JValue
-final case class JStr(s: String) extends JValue
-final case class JArr(xs: Seq[JValue]) extends JValue
-final case class JObj(fields: Seq[(String, JValue)]) extends JValue
-
-/** JSON text written beforehand by a [[JsonOut]] writer; renders as is. */
-final case class JRaw(json: String) extends JValue
-
-/** UTF-8 JSON text, the writer behind every payload, whether it comes
-  * from a [[JValue]] tree or straight from a CAP table. In memory
+/** UTF-8 JSON text (no third-party JSON dependency is resolvable in this
+  * sealed build), the one writer behind every payload. In memory
   * (`new JsonOut`) the text grows in one byte buffer; on a file
   * ([[JsonOut.open]]) it passes through a buffer of fixed size, which is
   * written out whenever the next write would overflow it, so a payload
@@ -119,7 +98,7 @@ private[viz] final class JsonOut private (sink: Option[OutputStream], capacity: 
     else ascii(java.lang.Double.toString(x))
 
   /** Appends `s` as a JSON string literal. */
-  def str(s: String): JsonOut = bytes(Json.quoted(s))
+  def str(s: String): JsonOut = bytes(JsonOut.quoted(s))
 
   /** The text written so far, of an in-memory writer. */
   def text: String = new String(buf, 0, size, UTF_8)
@@ -149,42 +128,11 @@ private[viz] object JsonOut {
       out.flush()
     } finally out.close()
   }
-}
-
-object Json {
-
-  /** Writes the JSON text of `v` to `out`. */
-  private[viz] def write(v: JValue, out: JsonOut): Unit = v match {
-    case JNull     => out.ascii("null")
-    case JBool(b)  => out.ascii(if (b) "true" else "false")
-    case JNum(x)   => out.num(x)
-    case JStr(s)   => out.str(s)
-    case JRaw(raw) => out.bytes(raw.getBytes(UTF_8))
-    case JArr(xs)  =>
-      out.byte('[')
-      var first = true
-      xs.foreach { x =>
-        if (!first) out.byte(',')
-        first = false
-        write(x, out)
-      }
-      out.byte(']')
-    case JObj(fields) =>
-      out.byte('{')
-      var first = true
-      fields.foreach { case (k, x) =>
-        if (!first) out.byte(',')
-        first = false
-        out.str(k).byte(':')
-        write(x, out)
-      }
-      out.byte('}')
-  }
 
   /** The UTF-8 bytes of `s` as a JSON string literal: quotes, backslashes
     * and control characters escaped.
     */
-  private[viz] def quoted(s: String): Array[Byte] = {
+  def quoted(s: String): Array[Byte] = {
     val out = new java.lang.StringBuilder(s.length + 2)
     out.append('"')
     var i = 0
@@ -204,9 +152,4 @@ object Json {
     }
     out.append('"').toString.getBytes(UTF_8)
   }
-
-  def obj(fields: (String, JValue)*): JObj = JObj(fields)
-  def arr(xs: JValue*): JArr = JArr(xs)
-  def str(s: String): JStr = JStr(s)
-  def num(v: Double): JNum = JNum(v)
 }

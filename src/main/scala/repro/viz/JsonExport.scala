@@ -118,11 +118,11 @@ object JsonExport {
 
   private val TopSeries = 3
 
-  /** `[{"capId":i,"attributes":[…],"sensors":[…],"support":s},…]`, the
-    * bytes a tree of `JObj`s would render to.
+  /** `[{"capId":i,"attributes":[…],"sensors":[…],"support":s},…]`, with
+    * the fields in that order and no whitespace.
     */
   private def writeCaps(out: JsonOut, caps: CapTable): Unit = {
-    val quoted = caps.names.map(Json.quoted)
+    val quoted = caps.names.map(JsonOut.quoted)
     def names(from: Int, until: Int): Unit = {
       out.byte('[')
       var k = from
@@ -262,7 +262,7 @@ object JsonExport {
     val texts = grid.map(formatter.format)
     val rank = new Array[Int](grid.length)
     grid.indices.sortBy(texts(_)).zipWithIndex.foreach { case (t, r) => rank(t) = r }
-    (texts.map(Json.quoted), rank)
+    (texts.map(JsonOut.quoted), rank)
   }
 
   /** The indices of the `k` CAPs of highest support, earlier first among
@@ -277,10 +277,10 @@ object JsonExport {
       }
     }
 
-  /** A payload as a pre-rendered [[JValue]]. */
+  /** A payload's text, written in memory. */
   private def rendered(body: JsonOut => Unit): JValue = {
     val out = new JsonOut
     body(out)
-    JRaw(out.text)
+    new JValue(out.text)
   }
 }

@@ -4,8 +4,28 @@ import scala.util.Random
 
 import org.scalatest.funsuite.AnyFunSuite
 
+object CapSearchSpec {
+
+  /** The CAPs of one component whose minimum member is a selected root, in
+    * export order: [[CapSearch.enumerateInto]] into a builder over the
+    * component's names.
+    */
+  def search(
+      sensors: Array[SensorEvents],
+      adj: Array[Array[Int]],
+      params: CapParams,
+      roots: Int => Boolean = _ => true,
+  ): CapTable = {
+    val into = new CapTable.Builder(sensors.flatMap(s => Array(s.id, s.attribute)).distinct.sorted)
+    CapSearch.enumerateInto(sensors, adj, params, into, roots)
+    into.result()
+  }
+}
+
 /** Direct tests of the per-component CAP search on hand-built graphs. */
 class CapSearchSpec extends AnyFunSuite {
+
+  import CapSearchSpec.search
 
   private val NT = 64
 
@@ -23,7 +43,7 @@ class CapSearchSpec extends AnyFunSuite {
   }
 
   private def caps(sensors: Seq[SensorEvents], adj: Array[Array[Int]], params: CapParams): Set[Cap] =
-    CapSearch.enumerate(sensors.toArray, adj, params).toSet
+    search(sensors.toArray, adj, params).toSet
 
   private val base = CapParams(psi = 2, mu = 3, maxSensors = 4)
 
@@ -132,7 +152,7 @@ class CapSearchSpec extends AnyFunSuite {
     )
     // Complete graph on 4 vertices: many overlapping enumeration paths.
     val adj = adjacency(4, (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    val list = CapSearch.enumerate(s.toArray, adj, base.copy(mu = 4, maxSensors = 4))
+    val list = search(s.toArray, adj, base.copy(mu = 4, maxSensors = 4))
     val keys = list.map(c => c.sensors.mkString(","))
     assert(keys.distinct.size == keys.size, s"duplicates in $keys")
     // All subsets of size 2..4 are connected in K4: C(4,2)+C(4,3)+C(4,4)=11.
@@ -148,7 +168,7 @@ class CapSearchSpec extends AnyFunSuite {
     val s = hub +: (0 until leaves).map(i => sensor(f"leaf$i%05d", if (i % 2 == 0) "b" else "a", Seq(1)))
     val adj = Array(Array.range(1, leaves + 1)) ++ Array.fill(leaves)(Array(0))
     val t0 = System.nanoTime()
-    val got = CapSearch.enumerate(s.toArray, adj, CapParams(psi = 1, maxSensors = 2))
+    val got = search(s.toArray, adj, CapParams(psi = 1, maxSensors = 2))
     val seconds = (System.nanoTime() - t0) / 1e9
     assert(got.size == leaves / 2)
     assert(got.forall(c => c.sensors.head == "hub" && c.attributes == Seq("a", "b") && c.support == 1))
@@ -194,7 +214,7 @@ class CapSearchSpec extends AnyFunSuite {
         // emit exactly the subsets with support >= psi, each with its support.
         val complete = adjacency(k, (for (a <- 0 until k; b <- a + 1 until k) yield (a, b)): _*)
         val params = CapParams(psi = 1, mu = 4, maxSensors = 4, signPolicy = policy)
-        val emitted = CapSearch.enumerate(sensors.toArray, complete, params)
+        val emitted = search(sensors.toArray, complete, params)
         val want = subsets.map(ix => ix.map(i => s"s$i").mkString(",") -> refSupport(ix.map(sets), policy).toLong)
         assert(emitted.map(c => c.sensors.mkString(",") -> c.support).sorted == want.filter(_._2 >= 1).sorted)
       }

@@ -143,6 +143,17 @@ class MiscelaSpec extends SparkSpec {
     assert(viaAssembly == viaMine)
   }
 
+  test("routed holds assembleComponents' sensors and edges, flattened, and its nT") {
+    val (data, locs) = world()
+    val params = CapParams(epsilon = 1.0, etaKm = 0.5, mu = 3, psi = 2, maxSensors = 3)
+    val (comps, nT) = Miscela.assembleComponents(data, locs, params)
+    val (sensors, edges, routedNT) = Miscela.routed(spark, data, locs, params)
+    assert(sensors.collect().toSeq == comps.flatMap(_._1))
+    val routedEdges = edges.collect().toSeq
+    assert(routedEdges.nonEmpty && routedEdges == comps.flatMap(_._2))
+    assert(routedNT == nT)
+  }
+
   test("delta smoothing suppresses sub-delta wiggles end to end") {
     // Wiggles of ±2 would evolve at epsilon=1, but delta=3 smoothing
     // flattens them; the 10-step survives.

@@ -63,7 +63,7 @@ class NaiveVsCapSearchSpec extends AnyFunSuite {
     val r = new Random(seed)
     (1 to 10).map { round =>
       val (sensors, adj) = randomComponent(r, maxN, nT)
-      val fast = CapSearch.enumerate(sensors, adj, params)
+      val fast = CapSearchSpec.search(sensors, adj, params)
       val slow = NaiveSearch.enumerate(sensors, adj, params)
       assert(canon(fast) == canon(slow),
         s"divergence at seed=$seed round=$round params=$params\n" +
@@ -100,7 +100,7 @@ class NaiveVsCapSearchSpec extends AnyFunSuite {
   // Splitting the roots into k classes partitions the CAP set: the root
   // fan-out of Miscela.mine neither loses nor repeats a pattern.
   private val searches = Seq[(String, (Array[SensorEvents], Array[Array[Int]], CapParams, Int => Boolean) => Seq[Cap])](
-    "pruned" -> CapSearch.enumerate,
+    "pruned" -> CapSearchSpec.search,
     "naive" -> NaiveSearch.enumerate,
   )
   for ((name, search) <- searches; seed <- 1 to 3) {

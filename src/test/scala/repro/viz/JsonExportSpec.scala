@@ -22,12 +22,20 @@ import repro.core.TinyWorld
 import repro.data.SmartCityData
 
 /** The CAP list and GeoJSON writers as they were before the CAP table:
-  * `JValue` trees over the CAPs sorted by their joined lists, rendered by
-  * one `StringBuilder` walk and encoded as UTF-8. Kept as the oracle of the
-  * byte writers, with the series query as it was before the series were
+  * trees of JSON nodes over the CAPs sorted by their joined lists, rendered
+  * by one `StringBuilder` walk and encoded as UTF-8. Kept as the oracle of
+  * the byte writers, with the series query as it was before the series were
   * read off the stage 1–2 shuffle.
   */
 private object TreeExport {
+
+  /** A JSON value, as the payloads use them. */
+  private sealed trait Node
+  private case object Null extends Node
+  private final case class Num(x: Double) extends Node
+  private final case class Str(s: String) extends Node
+  private final case class Arr(xs: Seq[Node]) extends Node
+  private final case class Obj(fields: (String, Node)*) extends Node
 
   /** One CAP's series payload from a DataFrame query: its sensors' rows,
     * times formatted by `date_format` in the session time zone, each
@@ -40,30 +48,30 @@ private object TreeExport {
         col("data").cast("double"))
       .collect()
     val bySensor = rows.groupBy(_.getString(0)).view.mapValues(_.sortBy(r => (r.getString(1), r.getLong(2)))).toMap
-    bytes(JArr(cap.sensors.filter(bySensor.contains).sorted.map { id =>
-      Json.obj(
-        "sensor" -> JStr(id),
-        "points" -> JArr(bySensor(id).toIndexedSeq.map { r =>
-          Json.arr(JStr(r.getString(1)), if (r.isNullAt(3)) JNull else JNum(r.getDouble(3)))
+    bytes(Arr(cap.sensors.filter(bySensor.contains).sorted.map { id =>
+      Obj(
+        "sensor" -> Str(id),
+        "points" -> Arr(bySensor(id).toIndexedSeq.map { r =>
+          Arr(Seq(Str(r.getString(1)), if (r.isNullAt(3)) Null else Num(r.getDouble(3))))
         }),
       )
     }))
   }
 
-  def capsJson(caps: Seq[Cap]): Array[Byte] = bytes(JArr(sorted(caps).zipWithIndex.map { case (c, i) =>
-    Json.obj(
-      "capId" -> JNum(i.toDouble),
-      "attributes" -> JArr(c.attributes.map(JStr(_))),
-      "sensors" -> JArr(c.sensors.map(JStr(_))),
-      "support" -> JNum(c.support.toDouble),
+  def capsJson(caps: Seq[Cap]): Array[Byte] = bytes(Arr(sorted(caps).zipWithIndex.map { case (c, i) =>
+    Obj(
+      "capId" -> Num(i.toDouble),
+      "attributes" -> Arr(c.attributes.map(Str(_))),
+      "sensors" -> Arr(c.sensors.map(Str(_))),
+      "support" -> Num(c.support.toDouble),
     )
   }))
 
   def sensorsGeoJson(locations: DataFrame, caps: Seq[Cap]): Array[Byte] = {
     val ordered = sorted(caps)
-    val capIds = mutable.HashMap.empty[String, mutable.ArrayBuffer[JValue]]
+    val capIds = mutable.HashMap.empty[String, mutable.ArrayBuffer[Node]]
     ordered.indices.foreach { i =>
-      ordered(i).sensors.foreach(s => capIds.getOrElseUpdate(s, mutable.ArrayBuffer.empty) += JNum(i.toDouble))
+      ordered(i).sensors.foreach(s => capIds.getOrElseUpdate(s, mutable.ArrayBuffer.empty) += Num(i.toDouble))
     }
     val rows = locations
       .select(col("id").cast("string"), col("attribute").cast("string"),
@@ -73,44 +81,43 @@ private object TreeExport {
       .sortWith((a, b) => a._1.compareTo(b._1) < 0)
     val features = inIdOrder.toIndexedSeq.map { case (_, r) =>
       val id = r.getString(0)
-      Json.obj(
-        "type" -> JStr("Feature"),
+      Obj(
+        "type" -> Str("Feature"),
         "geometry" ->
-          (if (r.isNullAt(2) || r.isNullAt(3)) JNull
-           else Json.obj("type" -> JStr("Point"), "coordinates" -> Json.arr(JNum(r.getDouble(3)), JNum(r.getDouble(2))))),
-        "properties" -> Json.obj(
-          "id" -> JStr(id),
-          "attribute" -> JStr(r.getString(1)),
-          "caps" -> JArr(capIds.get(id).fold(Seq.empty[JValue])(_.toSeq)),
+          (if (r.isNullAt(2) || r.isNullAt(3)) Null
+           else Obj("type" -> Str("Point"), "coordinates" -> Arr(Seq(Num(r.getDouble(3)), Num(r.getDouble(2)))))),
+        "properties" -> Obj(
+          "id" -> Str(id),
+          "attribute" -> Str(r.getString(1)),
+          "caps" -> Arr(capIds.get(id).fold(Seq.empty[Node])(_.toSeq)),
         ),
       )
     }
-    bytes(Json.obj("type" -> JStr("FeatureCollection"), "features" -> JArr(features)))
+    bytes(Obj("type" -> Str("FeatureCollection"), "features" -> Arr(features)))
   }
 
   private def sorted(caps: Seq[Cap]): IndexedSeq[Cap] =
     caps.map(c => ((c.attributes.mkString(","), c.sensors.mkString(","), c.support), c))
       .sortBy(_._1).map(_._2).toIndexedSeq
 
-  private def bytes(v: JValue): Array[Byte] = {
+  private def bytes(v: Node): Array[Byte] = {
     val out = new java.lang.StringBuilder
     append(v, out)
     out.toString.getBytes(UTF_8)
   }
 
-  private def append(v: JValue, out: java.lang.StringBuilder): Unit = v match {
-    case JNull    => out.append("null")
-    case JBool(b) => out.append(b)
-    case JNum(x)  =>
+  private def append(v: Node, out: java.lang.StringBuilder): Unit = v match {
+    case Null   => out.append("null")
+    case Num(x) =>
       if (x.isNaN || x.isInfinite) out.append("null")
       else if (x == math.floor(x) && math.abs(x) < 1e15) out.append(x.toLong)
       else out.append(java.lang.Double.toString(x))
-    case JStr(s)  => appendQuoted(s, out)
-    case JArr(xs) =>
+    case Str(s)  => appendQuoted(s, out)
+    case Arr(xs) =>
       out.append('[')
       xs.zipWithIndex.foreach { case (x, i) => if (i > 0) out.append(','); append(x, out) }
       out.append(']')
-    case JObj(fields) =>
+    case Obj(fields @ _*) =>
       out.append('{')
       fields.zipWithIndex.foreach { case ((k, x), i) =>
         if (i > 0) out.append(',')
@@ -119,7 +126,6 @@ private object TreeExport {
         append(x, out)
       }
       out.append('}')
-    case JRaw(_) => sys.error("the tree writer builds no pre-rendered nodes")
   }
 
   private def appendQuoted(s: String, out: java.lang.StringBuilder): Unit = {
